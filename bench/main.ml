@@ -30,6 +30,11 @@ let run_micro () =
   let dataset = Simq_tsindex.Dataset.of_series ~name:"bench" batch in
   let index = Simq_tsindex.Kindex.build dataset in
   let query = batch.(0) in
+  (* The reversal of a stored series: under [rev] it matches that entry
+     and its neighbours, so the sketch funnel and the frequency-domain
+     postfilter both see a few hundred candidates. *)
+  let rev_query = Simq_series.Series.reverse_sign query in
+  let sketch = Simq_sketch.create dataset in
   let rules = Simq_rewrite.Rule.levenshtein in
   let tests =
     [
@@ -50,6 +55,12 @@ let run_micro () =
                (Simq_tsindex.Kindex.range
                   ~spec:(Simq_tsindex.Spec.Moving_average 20) index ~query
                   ~epsilon:2.)));
+      Test.make ~name:"kindex-range-sketch-rev-1000"
+        (Staged.stage (fun () ->
+             ignore
+               (Simq_tsindex.Kindex.range ~spec:Simq_tsindex.Spec.Reverse
+                  ~sketch:(Simq_sketch.funnel sketch) index ~query:rev_query
+                  ~epsilon:6.)));
       Test.make ~name:"kindex-nn5-1000"
         (Staged.stage (fun () ->
              ignore (Simq_tsindex.Kindex.nearest index ~query ~k:5)));

@@ -270,11 +270,8 @@ let print_answers answers =
 
 (* The monolithic paths' sketch funnel / NN bound builders; a sharded
    run carries its own per-shard tables inside Simq_shard. *)
-let funnel_of sketch spec =
-  Option.map (fun sk query -> Simq_sketch.funnel sk ~spec ~query) sketch
-
-let nn_bound_of sketch spec =
-  Option.map (fun sk query -> Simq_sketch.nn_bound sk ~spec ~query) sketch
+let funnel_of sketch = Option.map Simq_sketch.funnel sketch
+let nn_bound_of sketch = Option.map Simq_sketch.nn_bound sketch
 
 let sketch_levels_of sketch spec =
   if Option.is_some sketch then Simq_sketch.spec_levels spec else 0
@@ -330,7 +327,7 @@ let run_parsed_query ?profile ~note index dataset noise ~budget ~admission
     let outcome, elapsed =
       Simq_report.Timer.time (fun () ->
           Planner.range_resilient ~spec ~budget ~counters ?stats
-            ?admission:policy ?sketch:(funnel_of sketch spec)
+            ?admission:policy ?sketch:(funnel_of sketch)
             ~sketch_levels:(sketch_levels_of sketch spec) ?approx ~anytime
             ?profile index ~query:series ~epsilon)
     in
@@ -380,7 +377,7 @@ let run_parsed_query ?profile ~note index dataset noise ~budget ~admission
       let (result : Kindex.range_result), elapsed =
         Simq_report.Timer.time (fun () ->
             Kindex.range ~spec ?mean_window ?std_band
-              ?sketch:(funnel_of sketch spec) ?approx ?profile index
+              ?sketch:(funnel_of sketch) ?approx ?profile index
               ~query:series ~epsilon)
       in
       Printf.printf "%d answers (%d candidates, %d node accesses, %s)\n"
@@ -429,7 +426,7 @@ let run_parsed_query ?profile ~note index dataset noise ~budget ~admission
       let outcome, elapsed =
         Simq_report.Timer.time (fun () ->
             Kindex.nearest_checked ~spec ~budget ?admission:policy
-              ?sketch:(nn_bound_of sketch spec)
+              ?sketch:(nn_bound_of sketch)
               ~on_decision:(fun d ->
                 note.note_decision <- Some (Simq_admission.decision_name d);
                 match d with
@@ -467,7 +464,7 @@ let run_parsed_query ?profile ~note index dataset noise ~budget ~admission
       note.note_path <- Some "index";
       let results, elapsed =
         Simq_report.Timer.time (fun () ->
-            Kindex.nearest ~spec ?sketch:(nn_bound_of sketch spec) ?profile
+            Kindex.nearest ~spec ?sketch:(nn_bound_of sketch) ?profile
               index ~query:series ~k)
       in
       Printf.printf "%d nearest (%s)\n" (List.length results)

@@ -55,9 +55,10 @@ let () =
       let k = (Kindex.config index).Feature.k in
       let transfer = Spec.stretch smooth ~n in
       let query_coeffs =
-        Array.init k (fun i ->
-            Simq_dsp.Cpx.neg
-              (Simq_dsp.Cpx.mul transfer.(i + 1) q.Dataset.spectrum.(i + 1)))
+        Array.map Simq_dsp.Cpx.neg
+          (Simq_dsp.Flat.sub_cpx
+             (Simq_dsp.Flat.mul transfer q.Dataset.spectrum)
+             1 k)
       in
       let result =
         Kindex.range_generic ~spec:smooth index ~query_coeffs ~epsilon

@@ -4,7 +4,19 @@
     Power-of-two lengths use an iterative radix-2 Cooley–Tukey; every
     other length goes through Bluestein's chirp-z algorithm, so the
     transform is O(n log n) for arbitrary [n] and agrees with {!Dft}
-    within rounding error. *)
+    within rounding error.
+
+    There is one transform core, on {!Flat} vectors. Its twiddle
+    factors come from a table of [cos]/[sin] of [2π·k/n] computed once
+    per size, not from a running product, so no error accumulates
+    along a stage. The tables are cached per domain, so transforms may
+    run on several domains at once. The
+    [Cpx.t array] functions are conversions around that core. *)
+
+(** [fft_real_flat x] is the forward transform of a real signal,
+    written straight into a flat vector (how data spectra are
+    built). *)
+val fft_real_flat : float array -> Flat.t
 
 (** [fft x] is the forward transform. *)
 val fft : Cpx.t array -> Cpx.t array

@@ -45,8 +45,7 @@ let kernel n w =
   Array.init n (fun idx -> if idx < m then w.weights.(idx) else 0.)
 
 let transfer n w =
-  let padded = kernel n w in
-  Cpx.scale_array (sqrt (float_of_int n)) (Fft.fft_real padded)
+  Flat.scale (sqrt (float_of_int n)) (Fft.fft_real_flat (kernel n w))
 
 let pp ppf w =
   Format.fprintf ppf "window[%a]"

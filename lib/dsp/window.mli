@@ -37,11 +37,11 @@ val width : t -> int
     signal length). Raises [Invalid_argument] when [width w > n]. *)
 val kernel : int -> t -> float array
 
-(** [transfer n w] is the frequency response of [kernel n w]: its
-    unnormalised DFT [H_f = Σ_t kernel_t e^(-2π·t·f·j/n)]. Multiplying a
+(** [transfer n w] is the frequency response of [kernel n w], flat:
+    its unnormalised DFT [H_f = Σ_t kernel_t e^(-2π·t·f·j/n)]. Multiplying a
     signal's DFT element-wise by [transfer n w] equals taking the
     circular moving average in the time domain, which is the
     transformation [T_mavg = (a, 0)] of Section 3.2. *)
-val transfer : int -> t -> Cpx.t array
+val transfer : int -> t -> Flat.t
 
 val pp : Format.formatter -> t -> unit

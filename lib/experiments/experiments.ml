@@ -981,7 +981,8 @@ let par ~fast =
           Array.for_all2
             (fun (a : Dataset.entry) (b : Dataset.entry) ->
               a.Dataset.normal = b.Dataset.normal
-              && a.Dataset.spectrum = b.Dataset.spectrum)
+              && Simq_dsp.Flat.bit_equal a.Dataset.spectrum
+                   b.Dataset.spectrum)
             (Dataset.entries large_dataset)
             (Dataset.entries !built)
         in
@@ -2743,7 +2744,7 @@ let ablation_sketch ~fast =
            plain funnel so repeats do not inflate the tally. *)
         let candidates = ref 0 in
         let filtered = [| 0; 0 |] in
-        let counted q =
+        let counted prepared q =
           Option.map
             (fun (pf : Kindex.prefilter) ->
               {
@@ -2753,9 +2754,9 @@ let ablation_sketch ~fast =
                     filtered.(level) <- filtered.(level) + dismissed;
                     pf.Kindex.on_filtered level dismissed);
               })
-            (Sketch.funnel sketch ~spec ~query:q)
+            (Sketch.funnel sketch prepared q)
         in
-        let funnel q = Sketch.funnel sketch ~spec ~query:q in
+        let funnel = Sketch.funnel sketch in
         let sketched =
           List.map
             (fun (q, eps) ->
@@ -2807,7 +2808,7 @@ let ablation_sketch ~fast =
       (fun (q, _) ->
         canon
           (Kindex.nearest
-             ~sketch:(fun q -> Sketch.nn_bound sketch ~spec:Spec.Identity ~query:q)
+             ~sketch:(Sketch.nn_bound sketch)
              index ~query:q ~k:5))
       queries
   in
@@ -2845,7 +2846,7 @@ let ablation_sketch ~fast =
      complete (everything within (1-a)·epsilon kept), recall measured
      against the exact answer set. *)
   let a = 0.25 in
-  let funnel q = Sketch.funnel sketch ~spec:Spec.Identity ~query:q in
+  let funnel = Sketch.funnel sketch in
   let superset_free = ref true and inner_complete = ref true in
   let kept = ref 0 and exact_total = ref 0 in
   List.iter2

@@ -40,5 +40,5 @@ let repeated k w s =
 let via_dft w s =
   let n = Array.length s in
   let transfer = Dsp.Window.transfer n w in
-  let spectrum = Dsp.Fft.fft_real s in
-  Series.idft (Dsp.Cpx.mul_arrays transfer spectrum)
+  let spectrum = Dsp.Fft.fft_real_flat s in
+  Series.idft (Dsp.Flat.to_cpx (Dsp.Flat.mul transfer spectrum))

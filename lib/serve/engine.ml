@@ -64,11 +64,8 @@ let checked t = Option.is_some t.budget || Option.is_some t.admission
 
 (* The monolithic paths' funnel and NN-bound builders; sharded
    executions carry their own per-shard tables inside {!Simq_shard}. *)
-let funnel t spec =
-  Option.map (fun sk query -> Simq_sketch.funnel sk ~spec ~query) t.sketch
-
-let nn_bound t spec =
-  Option.map (fun sk query -> Simq_sketch.nn_bound sk ~spec ~query) t.sketch
+let funnel t = Option.map Simq_sketch.funnel t.sketch
+let nn_bound t = Option.map Simq_sketch.nn_bound t.sketch
 
 let sketch_levels t spec =
   if Option.is_some t.sketch then Simq_sketch.spec_levels spec else 0
@@ -214,13 +211,13 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         | None ->
           Ok
             (Kindex.range ~spec ?mean_window ?std_band
-               ?sketch:(funnel t spec) ?approx:t.approx ?profile t.index
+               ?sketch:(funnel t) ?approx:t.approx ?profile t.index
                ~query:series ~epsilon)
         | Some budget ->
           Result.map_error
             (fun e -> Simq_cli.Fault e)
             (Kindex.range_checked ~spec ?mean_window ?std_band ~budget
-               ?sketch:(funnel t spec) ?approx:t.approx ~anytime:t.anytime
+               ?sketch:(funnel t) ?approx:t.approx ~anytime:t.anytime
                ?profile t.index ~query:series ~epsilon)
       in
       finish note
@@ -252,7 +249,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
       let stats = Option.map (fun _ -> stats t) t.admission in
       let outcome =
         Planner.range_resilient ~spec ~budget ~counters:t.counters ?stats
-          ?admission:t.admission ?sketch:(funnel t spec)
+          ?admission:t.admission ?sketch:(funnel t)
           ~sketch_levels:(sketch_levels t spec) ?approx:t.approx
           ~anytime:t.anytime ?profile t.index ~query:series ~epsilon
       in
@@ -284,7 +281,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
     | None ->
       note.note_path <- Some "index";
       let results =
-        Kindex.nearest ~spec ?sketch:(nn_bound t spec) ?profile t.index
+        Kindex.nearest ~spec ?sketch:(nn_bound t) ?profile t.index
           ~query:series ~k
       in
       finish note ~answers:(List.length results)
@@ -315,7 +312,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
       note.note_path <- Some "index";
       let outcome =
         Kindex.nearest_checked ~spec ~budget ?admission:t.admission
-          ?sketch:(nn_bound t spec)
+          ?sketch:(nn_bound t)
           ~on_decision:(fun d ->
             note.note_decision <- Some (Simq_admission.decision_name d);
             match d with

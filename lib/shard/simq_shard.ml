@@ -136,17 +136,8 @@ type 'a run = {
 (* The per-shard sketch funnel and NN bound builders: the shard's own
    sketch table over its own (local-id) dataset, or nothing when the
    executor was built without sketches. *)
-let sketch_spec spec = Option.value spec ~default:Spec.Identity
-
-let shard_funnel ?spec s =
-  Option.map
-    (fun sk query -> Simq_sketch.funnel sk ~spec:(sketch_spec spec) ~query)
-    s.ssketch
-
-let shard_nn_bound ?spec s =
-  Option.map
-    (fun sk query -> Simq_sketch.nn_bound sk ~spec:(sketch_spec spec) ~query)
-    s.ssketch
+let shard_funnel s = Option.map Simq_sketch.funnel s.ssketch
+let shard_nn_bound s = Option.map Simq_sketch.nn_bound s.ssketch
 
 (* Metrics and profile for one finished scatter, on the coordinating
    domain after the merge (deterministic at every domain count). *)
@@ -239,7 +230,7 @@ let range ?pool ?spec ?normalise_query ?mean_window ?std_band ?approx ?profile
         else begin
           let r =
             Kindex.range ?spec ?normalise_query ?mean_window ?std_band
-              ?sketch:(shard_funnel ?spec s) ?approx s.sindex ~query ~epsilon
+              ?sketch:(shard_funnel s) ?approx s.sindex ~query ~epsilon
           in
           Some
             {
@@ -321,7 +312,8 @@ let range_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
     Planner.selectivity (shard_stats s) ~epsilon
   in
   let sketch_levels s =
-    if Option.is_some s.ssketch then Simq_sketch.spec_levels (sketch_spec spec)
+    if Option.is_some s.ssketch then
+      Simq_sketch.spec_levels (Option.value spec ~default:Spec.Identity)
     else 0
   in
   match preflight ?admission ~budget ~keep ~selectivity ~sketch_levels t with
@@ -356,7 +348,7 @@ let range_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
           | _ -> (
             match
               Kindex.range_checked ?spec ~budget ?retry
-                ?sketch:(shard_funnel ?spec s) ?approx ?anytime s.sindex
+                ?sketch:(shard_funnel s) ?approx ?anytime s.sindex
                 ~query ~epsilon
             with
             | Ok r ->
@@ -428,7 +420,7 @@ let nearest ?pool ?spec ?normalise_query ?profile t ~query ~k =
         Some
           (nn_run t s
              (Kindex.nearest ?spec ?normalise_query
-                ?sketch:(shard_nn_bound ?spec s) s.sindex ~query ~k)))
+                ?sketch:(shard_nn_bound s) s.sindex ~query ~k)))
       t.parts
   in
   gather_nearest ?profile t ~k runs
@@ -461,7 +453,7 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
         | _ -> (
           match
             Kindex.nearest_checked ?spec ~budget ?retry
-              ?sketch:(shard_nn_bound ?spec s) s.sindex ~query ~k
+              ?sketch:(shard_nn_bound s) s.sindex ~query ~k
           with
           | Ok answers -> nn_run t s answers
           | Error _ -> scan s))

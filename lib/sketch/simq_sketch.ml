@@ -1,4 +1,4 @@
-module Cpx = Simq_dsp.Cpx
+module Flat = Simq_dsp.Flat
 module Dataset = Simq_tsindex.Dataset
 module Spec = Simq_tsindex.Spec
 module Kindex = Simq_tsindex.Kindex
@@ -89,24 +89,16 @@ let config t = t.config
    break the exact-mode parity of Lemma 1. *)
 let slack = 1. -. 1e-9
 
-let sq_norm z =
-  let re = Cpx.re z and im = Cpx.im z in
-  (re *. re) +. (im *. im)
-
 (* Partial frequency-domain distance over the coarse set: for every
    length-preserving transformation the exact postfilter distance is
    sqrt (sum over all f of |s_f X_f - Q_f|^2) (by Parseval for the
    identity), and any subset of the non-negative terms lower-bounds
    it. *)
 let coarse_bound ~freqs ~stretch ~(q : Dataset.entry) (entry : Dataset.entry) =
-  let acc = ref 0. in
-  Array.iter
-    (fun f ->
-      let x = entry.Dataset.spectrum.(f) in
-      let x = match stretch with None -> x | Some s -> Cpx.mul s.(f) x in
-      acc := !acc +. sq_norm (Cpx.sub x q.Dataset.spectrum.(f)))
-    freqs;
-  sqrt !acc *. slack
+  sqrt
+    (Flat.sq_distance_at ?stretch ~freqs entry.Dataset.spectrum
+       q.Dataset.spectrum)
+  *. slack
 
 let entry_segmeans t ~lengths (entry : Dataset.entry) =
   if entry.Dataset.id < Array.length t.segmeans then
@@ -139,10 +131,13 @@ let on_filtered levels level n =
 
 (* The per-level bounds for one prepared query, or None when the
    transformation supports no sketch (the warp changes the length, so
-   neither the spectra nor the segment cuts align). *)
-let level_bounds t ~spec ~(query : Dataset.entry) =
+   neither the spectra nor the segment cuts align). The coarse level
+   takes the stretch the query's prepared transformation already
+   holds — the one the exact postfilter applies — so it is computed
+   once per query. *)
+let level_bounds t prepared (query : Dataset.entry) =
   let n = Dataset.series_length t.dataset in
-  match spec with
+  match Kindex.prepared_spec prepared with
   | Spec.Warp _ -> None
   | Spec.Identity ->
     let freqs = coarse_freqs ~n ~coarse:t.config.coarse in
@@ -155,11 +150,11 @@ let level_bounds t ~spec ~(query : Dataset.entry) =
       |]
   | _ ->
     let freqs = coarse_freqs ~n ~coarse:t.config.coarse in
-    let stretch = Spec.stretch spec ~n in
-    Some [| ("coarse", coarse_bound ~freqs ~stretch:(Some stretch) ~q:query) |]
+    let stretch = Kindex.prepared_stretch prepared in
+    Some [| ("coarse", coarse_bound ~freqs ~stretch ~q:query) |]
 
-let funnel t ~spec ~query =
-  match level_bounds t ~spec ~query with
+let funnel t prepared query =
+  match level_bounds t prepared query with
   | None -> None
   | Some bounds ->
     let levels = Array.map fst bounds in
@@ -170,8 +165,8 @@ let funnel t ~spec ~query =
         on_filtered = on_filtered levels;
       }
 
-let nn_bound t ~spec ~query =
-  match level_bounds t ~spec ~query with
+let nn_bound t prepared query =
+  match level_bounds t prepared query with
   | None -> None
   | Some bounds ->
     Some

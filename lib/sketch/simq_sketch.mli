@@ -51,26 +51,31 @@ val config : t -> config
     model ([sketch_levels]). *)
 val spec_levels : Simq_tsindex.Spec.t -> int
 
-(** [funnel t ~spec ~query] is the candidate prefilter for one
-    prepared query, coarse level first, or [None] when [spec] supports
-    no sketch. Each level's bound is a lower bound on the exact
+(** [funnel t prepared query] is the candidate prefilter for one
+    prepared query under the transformation [prepared] (from
+    {!Simq_tsindex.Kindex.prepare} on an index over the same data set),
+    coarse level first, or [None] when its spec supports no sketch.
+    The coarse level applies [prepared]'s stretch, so the stretch is
+    computed once per query, not again here. Partially applied
+    ([funnel t]) it is the builder {!Simq_tsindex.Kindex.range}'s
+    [?sketch] takes. Each level's bound is a lower bound on the exact
     postfilter distance (including the slack needed to absorb
     last-ulp rounding), so {!Simq_tsindex.Kindex} may dismiss on it
     without breaking exact-mode parity. Dismissals are counted in the
     [simq_sketch_filtered_total{level}] metric family. *)
 val funnel :
   t ->
-  spec:Simq_tsindex.Spec.t ->
-  query:Simq_tsindex.Dataset.entry ->
+  Simq_tsindex.Kindex.prepared ->
+  Simq_tsindex.Dataset.entry ->
   Simq_tsindex.Kindex.prefilter option
 
-(** [nn_bound t ~spec ~query] is the strongest per-entry lower bound
-    (the max over the available levels), or [None] when [spec]
-    supports no sketch. Feed it to
+(** [nn_bound t prepared query] is the strongest per-entry lower bound
+    (the max over the available levels), or [None] when the spec of
+    [prepared] supports no sketch. Feed it to
     {!Simq_tsindex.Kindex.nearest}[ ~sketch] to defer exact distance
     refinement in the nearest-neighbour traversal. *)
 val nn_bound :
   t ->
-  spec:Simq_tsindex.Spec.t ->
-  query:Simq_tsindex.Dataset.entry ->
+  Simq_tsindex.Kindex.prepared ->
+  Simq_tsindex.Dataset.entry ->
   (Simq_tsindex.Dataset.entry -> float) option

@@ -7,7 +7,7 @@ type entry = {
   name : string;
   series : Series.t;
   normal : Series.t;
-  spectrum : Simq_dsp.Cpx.t array;
+  spectrum : Simq_dsp.Flat.t;
   mean : float;
   std : float;
 }
@@ -26,7 +26,7 @@ let prepare ~id ~name series =
     name;
     series;
     normal = d.Normal_form.normalised;
-    spectrum = Simq_dsp.Fft.fft_real d.Normal_form.normalised;
+    spectrum = Simq_dsp.Fft.fft_real_flat d.Normal_form.normalised;
     mean = d.Normal_form.mean;
     std = d.Normal_form.std;
   }
@@ -79,7 +79,7 @@ let prepare_query ?(normalise = true) q =
       name = "query";
       series = q;
       normal = q;
-      spectrum = Simq_dsp.Fft.fft_real q;
+      spectrum = Simq_dsp.Fft.fft_real_flat q;
       mean = 0.;
       std = 1.;
     }

@@ -5,15 +5,28 @@
 
     The spectrum stored is that of the {e normal form}; the original
     mean and standard deviation ride along and become the first two
-    index dimensions. *)
+    index dimensions.
+
+    {b Spectrum layout.} Each entry holds its spectrum as one unboxed
+    {!Simq_dsp.Flat.t}: a [float array] of length [2n] with the real
+    and imaginary parts of coefficient [f] at indices [2f] and [2f + 1].
+    Every exact frequency-domain distance (index postfilter, sketch
+    coarse bound, sequential scan, join) reads it through the
+    {!Simq_dsp.Flat} kernels without allocating. The layout is per
+    entry, not one data-set-wide slab: in a prototype on 8192 series
+    of length 128, a coarse bound over 6553 candidates in R-tree order
+    took 0.63 ms with per-entry arrays, 0.53 ms with a slab and 7.0 ms
+    over boxed [Complex.t array]s. The slab's ~15% would cost offset
+    bookkeeping in {!insert} and in every shard. *)
 
 type entry = {
   id : int;
   name : string;
   series : Simq_series.Series.t;  (** the original series *)
   normal : Simq_series.Series.t;  (** its normal form *)
-  spectrum : Simq_dsp.Cpx.t array;
-      (** full unitary DFT of [normal]; coefficient 0 is always 0 *)
+  spectrum : Simq_dsp.Flat.t;
+      (** full unitary DFT of [normal], re/im interleaved (see above);
+          coefficient 0 is always 0 *)
   mean : float;
   std : float;
 }

@@ -1,4 +1,4 @@
-module Cpx = Simq_dsp.Cpx
+module Flat = Simq_dsp.Flat
 module Distance = Simq_series.Distance
 module Pool = Simq_parallel.Pool
 module Budget = Simq_fault.Budget
@@ -20,26 +20,27 @@ type result = {
   node_accesses : int;
 }
 
-let sq_norm z =
-  let re = Cpx.re z and im = Cpx.im z in
-  (re *. re) +. (im *. im)
-
 (* Precompute the transformed normal forms (time domain, exact for every
    spec including Warp) and, for the length-preserving specs, the
-   transformed spectra used by the frequency-domain scans. Both are
-   pure per-entry maps, so they fan out over the pool too. *)
+   transformed spectra used by the frequency-domain scans (the
+   identity's are the stored spectra themselves). Both are pure
+   per-entry maps, so they fan out over the pool too. *)
 let transformed_normals ?pool kindex spec =
   Pool.map_array ?pool
     (fun (entry : Dataset.entry) -> Spec.apply_series spec entry.Dataset.normal)
     (Dataset.entries (Kindex.dataset kindex))
 
 let transformed_spectra ?pool kindex spec =
-  let n = Dataset.series_length (Kindex.dataset kindex) in
-  let stretch = Spec.stretch spec ~n in
-  Pool.map_array ?pool
-    (fun (entry : Dataset.entry) ->
-      Cpx.mul_arrays stretch entry.Dataset.spectrum)
-    (Dataset.entries (Kindex.dataset kindex))
+  let entries = Dataset.entries (Kindex.dataset kindex) in
+  match spec with
+  | Spec.Identity ->
+    Array.map (fun (entry : Dataset.entry) -> entry.Dataset.spectrum) entries
+  | _ ->
+    let n = Dataset.series_length (Kindex.dataset kindex) in
+    let stretch = Spec.stretch spec ~n in
+    Pool.map_array ?pool
+      (fun (entry : Dataset.entry) -> Flat.mul stretch entry.Dataset.spectrum)
+      entries
 
 (* The pairwise scans parallelise over the outer row [i]: a chunk of
    rows produces its pairs in (i, j) order plus its own comparison
@@ -72,19 +73,16 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
         !pairs
     | _ ->
       let spectra = transformed_spectra ~pool kindex spec in
-      let n = Array.length spectra.(0) in
       fun pairs i ->
         let pairs = ref pairs in
         for j = i + 1 to count - 1 do
-          let acc = ref 0. in
-          let f = ref 0 in
-          let alive = ref true in
-          while !alive && !f < n do
-            acc := !acc +. sq_norm (Cpx.sub spectra.(i).(!f) spectra.(j).(!f));
-            incr f;
-            if abandon && !acc > limit then alive := false
-          done;
-          if !alive && !acc <= limit then pairs := (i, j) :: !pairs
+          (* An abandoned sum is > limit, so one test decides both. *)
+          let acc =
+            if abandon then
+              fst (Flat.sq_distance_abandon ~limit spectra.(i) spectra.(j))
+            else Flat.sq_distance spectra.(i) spectra.(j)
+          in
+          if acc <= limit then pairs := (i, j) :: !pairs
         done;
         !pairs
   in
@@ -178,14 +176,7 @@ let index_join ?profile kindex spec epsilon =
   (* Query features for entry i: the first k coefficients of its
      transformed spectrum (for Warp these are the predicted prefix of the
      warped spectrum, which is all the index needs). *)
-  let spectra =
-    match spec with
-    | Spec.Identity ->
-      Array.map
-        (fun (e : Dataset.entry) -> e.Dataset.spectrum)
-        (Dataset.entries dataset)
-    | _ -> transformed_spectra kindex spec
-  in
+  let spectra = transformed_spectra kindex spec in
   let prepared = Kindex.prepare kindex spec in
   (* One flat operator node for the whole nested-query loop: a child
      per inner range query would drown the tree in [cardinality]
@@ -199,7 +190,7 @@ let index_join ?profile kindex spec epsilon =
   Array.iter
     (fun (entry : Dataset.entry) ->
       let i = entry.Dataset.id in
-      let query_coeffs = Array.sub spectra.(i) 1 k in
+      let query_coeffs = Flat.sub_cpx spectra.(i) 1 k in
       let distance (candidate : Dataset.entry) =
         Distance.euclidean normals.(candidate.Dataset.id) normals.(i)
       in

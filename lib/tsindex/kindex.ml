@@ -1,4 +1,5 @@
 module Cpx = Simq_dsp.Cpx
+module Flat = Simq_dsp.Flat
 module Series = Simq_series.Series
 module Distance = Simq_series.Distance
 module Geometry = Simq_geometry
@@ -94,10 +95,13 @@ let lift lowered =
 type prepared = {
   pspec : Spec.t;
   ptransform : Linear_transform.t option;
-  pstretch : Cpx.t array option;
+  pstretch : Flat.t option;
       (* full-length frequency multiplier; None for Identity (not
          needed) and Warp (length changes) *)
 }
+
+let prepared_spec p = p.pspec
+let prepared_stretch p = p.pstretch
 
 let prepare t spec =
   match spec with
@@ -105,7 +109,7 @@ let prepare t spec =
   | _ ->
     let n = Dataset.series_length t.dataset in
     let stretch = Spec.stretch spec ~n in
-    let ak = Array.sub stretch 1 t.config.Feature.k in
+    let ak = Flat.sub_cpx stretch 1 t.config.Feature.k in
     let ct = Complex_transform.stretch ak in
     let lowered =
       match t.config.Feature.representation with
@@ -285,18 +289,13 @@ let range_prepared ?mean_range ?std_range ?prefilter ?approx ?anytime ?profile
 let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
   range_prepared t (prepare t spec) ~query_coeffs ~epsilon ~distance
 
-let sq_norm z =
-  let re = Cpx.re z and im = Cpx.im z in
-  (re *. re) +. (im *. im)
-
 (* The exact distance used in postprocessing. Length-preserving
    transformations are evaluated in the frequency domain against the
    stored spectra (O(n) per candidate, like the paper's scan of the
    Fourier-coefficient relation); the warp changes the length and falls
    back to the time domain. Equal to the time-domain distance by
    Parseval. *)
-let prepared_distance t prepared (q : Dataset.entry) =
-  let n = Dataset.series_length t.dataset in
+let prepared_distance prepared (q : Dataset.entry) =
   match (prepared.pspec, prepared.pstretch) with
   | Spec.Warp _, _ ->
     fun (entry : Dataset.entry) ->
@@ -308,16 +307,7 @@ let prepared_distance t prepared (q : Dataset.entry) =
       Distance.euclidean entry.Dataset.normal q.Dataset.normal
   | _, Some stretch ->
     fun (entry : Dataset.entry) ->
-      let acc = ref 0. in
-      for f = 0 to n - 1 do
-        let z =
-          Cpx.sub
-            (Cpx.mul stretch.(f) entry.Dataset.spectrum.(f))
-            q.Dataset.spectrum.(f)
-        in
-        acc := !acc +. sq_norm z
-      done;
-      sqrt !acc
+      sqrt (Flat.sq_distance ~stretch entry.Dataset.spectrum q.Dataset.spectrum)
   | _, None -> assert false
 
 let check_query_length t spec query =
@@ -356,16 +346,17 @@ let range_request ?mean_window ?std_band ~normalise_query t spec query =
       std_band
   in
   let q = Dataset.prepare_query ~normalise:normalise_query query in
-  let query_coeffs = Array.sub q.Dataset.spectrum 1 t.config.Feature.k in
+  let query_coeffs = Feature.coefficients t.config q in
   let prepared = prepare t spec in
   (mean_range, std_range, q, query_coeffs, prepared)
 
 (* The sketch argument of the public entry points is a builder
    ([Simq_sketch.funnel] partially applied): the prepared query entry
    only exists inside the call, so the funnel is built here, once per
-   query. *)
-let build_funnel sketch q =
-  match sketch with None -> None | Some f -> (f q : prefilter option)
+   query, from the same prepared transformation (hence the same
+   stretch) the postfilter uses. *)
+let build_funnel sketch prepared q =
+  match sketch with None -> None | Some f -> (f prepared q : prefilter option)
 
 let range ?(spec = Spec.Identity) ?(normalise_query = true) ?mean_window
     ?std_band ?sketch ?approx ?anytime ?profile t ~query ~epsilon =
@@ -373,9 +364,9 @@ let range ?(spec = Spec.Identity) ?(normalise_query = true) ?mean_window
     range_request ?mean_window ?std_band ~normalise_query t spec query
   in
   range_prepared ?mean_range ?std_range
-    ?prefilter:(build_funnel sketch q)
+    ?prefilter:(build_funnel sketch prepared q)
     ?approx ?anytime ?profile t prepared ~query_coeffs ~epsilon
-    ~distance:(prepared_distance t prepared q)
+    ~distance:(prepared_distance prepared q)
 
 let range_checked ?(spec = Spec.Identity) ?(normalise_query = true)
     ?mean_window ?std_band ?(budget = Budget.unlimited) ?retry ?on_retry
@@ -385,8 +376,8 @@ let range_checked ?(spec = Spec.Identity) ?(normalise_query = true)
   let mean_range, std_range, q, query_coeffs, prepared =
     range_request ?mean_window ?std_band ~normalise_query t spec query
   in
-  let prefilter = build_funnel sketch q in
-  let distance = prepared_distance t prepared q in
+  let prefilter = build_funnel sketch prepared q in
+  let distance = prepared_distance prepared q in
   Retry.with_retries ?policy:retry ?on_retry (fun () ->
       (* Fresh budget state per attempt; node accesses are credited to
          the tree only for the attempt that succeeds. *)
@@ -428,10 +419,11 @@ let range_batch ?pool ?profiles ?(spec = Spec.Identity)
     Simq_parallel.Batch.map ?pool ?profiles
       (fun ~profile (query, epsilon) ->
         let q = Dataset.prepare_query ~normalise:normalise_query query in
-        let query_coeffs = Array.sub q.Dataset.spectrum 1 t.config.Feature.k in
-        range_prepared_counted ?prefilter:(build_funnel sketch q) ?approx
-          ?anytime ?profile t prepared ~query_coeffs ~epsilon
-          ~distance:(prepared_distance t prepared q))
+        let query_coeffs = Feature.coefficients t.config q in
+        range_prepared_counted
+          ?prefilter:(build_funnel sketch prepared q)
+          ?approx ?anytime ?profile t prepared ~query_coeffs ~epsilon
+          ~distance:(prepared_distance prepared q))
       queries
   in
   Array.iter
@@ -508,13 +500,13 @@ let feature_lower_bound t ~query_coeffs (r : Rect.t) =
    entries never reaching the top of the heap never pay the exact
    comparison — the emitted answers stay exact (the multi-step
    refinement of [RKV95], one more resolution down). *)
-let nn_point_bound t sketch q =
+let nn_point_bound t sketch prepared q =
   match sketch with
   | None -> None
   | Some f ->
     Option.map
       (fun bound (_ : Rect.t) id -> bound (Dataset.get t.dataset id))
-      (f q : (Dataset.entry -> float) option)
+      (f prepared q : (Dataset.entry -> float) option)
 
 let nn_detail ~k point_bound =
   match point_bound with
@@ -525,15 +517,15 @@ let nearest ?(spec = Spec.Identity) ?(normalise_query = true) ?sketch ?profile
     t ~query ~k =
   check_query_length t spec query;
   let q = Dataset.prepare_query ~normalise:normalise_query query in
-  let query_coeffs = Array.sub q.Dataset.spectrum 1 t.config.Feature.k in
+  let query_coeffs = Feature.coefficients t.config q in
   let prepared = prepare t spec in
   let map_rect r =
     match prepared.ptransform with
     | None -> r
     | Some tr -> Linear_transform.apply_rect tr r
   in
-  let dist = prepared_distance t prepared q in
-  let point_bound = nn_point_bound t sketch q in
+  let dist = prepared_distance prepared q in
+  let point_bound = nn_point_bound t sketch prepared q in
   let pn = Profile.enter profile "kindex.nearest" in
   Profile.set_detail pn (nn_detail ~k point_bound);
   let visits = ref 0 in
@@ -596,7 +588,7 @@ let nearest_scan ?(spec = Spec.Identity) ?(normalise_query = true)
   if k <= 0 then invalid_arg "Kindex.nearest_scan: k must be positive";
   let q = Dataset.prepare_query ~normalise:normalise_query query in
   let prepared = prepare t spec in
-  let dist = prepared_distance t prepared q in
+  let dist = prepared_distance prepared q in
   Retry.with_retries ?policy:retry ?on_retry (fun () ->
       let bstate = Budget.state_opt budget in
       nearest_scan_counted ?bstate ?profile t ~dist ~k)
@@ -626,15 +618,15 @@ let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
   let q = Dataset.prepare_query ~normalise:normalise_query query in
-  let query_coeffs = Array.sub q.Dataset.spectrum 1 t.config.Feature.k in
+  let query_coeffs = Feature.coefficients t.config q in
   let prepared = prepare t spec in
   let map_rect r =
     match prepared.ptransform with
     | None -> r
     | Some tr -> Linear_transform.apply_rect tr r
   in
-  let dist = prepared_distance t prepared q in
-  let point_bound = nn_point_bound t sketch q in
+  let dist = prepared_distance prepared q in
+  let point_bound = nn_point_bound t sketch prepared q in
   let pn = Profile.enter profile "kindex.nearest" in
   Profile.set_detail pn (nn_detail ~k point_bound);
   let visits = ref 0 in

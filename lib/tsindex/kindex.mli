@@ -53,6 +53,28 @@ type range_result = {
           otherwise. *)
 }
 
+(** A transformation prepared against this index: its flat stretch
+    vector ({!Spec.stretch}) and its safe lowering to the index
+    coordinates, computed once. {!range} and {!range_generic} prepare
+    on every call; workloads that pose many queries under one
+    transformation — the join methods, experiment loops — prepare once
+    and use {!range_prepared}. The sketch builders below receive the
+    query's prepared transformation, so its stretch is computed once
+    per query. *)
+type prepared
+
+(** [prepare t spec] precomputes everything [spec] needs against this
+    index. *)
+val prepare : t -> Spec.t -> prepared
+
+val prepared_spec : prepared -> Spec.t
+
+(** [prepared_stretch p] is the full-length frequency multiplier the
+    exact frequency-domain distance applies to each data spectrum:
+    [None] for the identity (no multiplier) and the warp (the length
+    changes, so its distance is computed in the time domain). *)
+val prepared_stretch : prepared -> Simq_dsp.Flat.t option
+
 (** A multi-resolution sketch funnel, run between the index descent
     and the exact postfilter: level [l] (coarse first; [levels.(l)]
     names it, e.g. ["coarse"], ["segment"]) maps an entry to
@@ -84,7 +106,7 @@ val range :
   ?normalise_query:bool ->
   ?mean_window:float ->
   ?std_band:float ->
-  ?sketch:(Dataset.entry -> prefilter option) ->
+  ?sketch:(prepared -> Dataset.entry -> prefilter option) ->
   ?approx:float ->
   ?anytime:bool ->
   ?profile:Simq_obs.Profile.t ->
@@ -102,7 +124,8 @@ val range :
     nothing when absent.
 
     [?sketch] is a funnel {e builder} ({!Simq_sketch.funnel} partially
-    applied): called once on the prepared query entry, its result (a
+    applied): called once on the prepared transformation and the
+    prepared query entry, its result (a
     {!prefilter}) filters candidates between descent and the exact
     postfilter. With no [?approx] the answer is bit-identical to the
     funnel-free run (every level lower-bounds the exact distance —
@@ -145,7 +168,7 @@ val range_checked :
   ?budget:Simq_fault.Budget.t ->
   ?retry:Simq_fault.Retry.policy ->
   ?on_retry:(attempt:int -> unit) ->
-  ?sketch:(Dataset.entry -> prefilter option) ->
+  ?sketch:(prepared -> Dataset.entry -> prefilter option) ->
   ?approx:float ->
   ?anytime:bool ->
   ?profile:Simq_obs.Profile.t ->
@@ -191,7 +214,7 @@ val range_batch :
   ?profiles:Simq_obs.Profile.t array ->
   ?spec:Spec.t ->
   ?normalise_query:bool ->
-  ?sketch:(Dataset.entry -> prefilter option) ->
+  ?sketch:(prepared -> Dataset.entry -> prefilter option) ->
   ?approx:float ->
   ?anytime:bool ->
   t ->
@@ -204,7 +227,8 @@ val range_batch :
     (the multi-step exact NN of [RKV95]).
 
     [?sketch] is an NN bound builder ({!Simq_sketch.nn_bound}
-    partially applied): called once on the prepared query entry, it
+    partially applied): called once on the prepared transformation and
+    the prepared query entry, it
     yields a per-entry lower bound (the max over the funnel's levels)
     under which data entries are queued and refined to their exact
     distance only when they reach the top of the heap — one more
@@ -213,7 +237,7 @@ val range_batch :
     bit-identical to the sketch-free run at every domain count. *)
 val nearest :
   ?spec:Spec.t -> ?normalise_query:bool ->
-  ?sketch:(Dataset.entry -> (Dataset.entry -> float) option) ->
+  ?sketch:(prepared -> Dataset.entry -> (Dataset.entry -> float) option) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t -> k:int -> (Dataset.entry * float) list
@@ -270,7 +294,7 @@ val nearest_checked :
   ?on_retry:(attempt:int -> unit) ->
   ?admission:Simq_admission.t ->
   ?on_decision:(Simq_admission.decision -> unit) ->
-  ?sketch:(Dataset.entry -> (Dataset.entry -> float) option) ->
+  ?sketch:(prepared -> Dataset.entry -> (Dataset.entry -> float) option) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->
@@ -293,18 +317,7 @@ val range_generic :
   distance:(Dataset.entry -> float) ->
   range_result
 
-(** {2 Prepared transformations}
-
-    {!range} and {!range_generic} prepare the transformation (stretch
-    vector + lowering) on every call. Workloads that pose many queries
-    under one transformation — the join methods, experiment loops —
-    prepare once instead. *)
-
-type prepared
-
-(** [prepare t spec] precomputes everything [spec] needs against this
-    index. *)
-val prepare : t -> Spec.t -> prepared
+(** {2 Prepared transformations} *)
 
 (** [range_prepared t prepared ~query_coeffs ~epsilon ~distance] is
     {!range_generic} with the preparation factored out. [?prefilter]
@@ -325,9 +338,9 @@ val range_prepared :
   distance:(Dataset.entry -> float) ->
   range_result
 
-(** [prepared_distance t prepared q] is the exact full distance
-    [entry -> D(T entry, q)] used by postprocessing: frequency-domain
-    against stored spectra for length-preserving transformations,
-    time-domain for the warp. *)
-val prepared_distance :
-  t -> prepared -> Dataset.entry -> Dataset.entry -> float
+(** [prepared_distance prepared q] is the exact full distance
+    [entry -> D(T entry, q)] used by postprocessing: for the stretching
+    transformations, {!Simq_dsp.Flat.sq_distance} of the stretched
+    stored spectrum against the query's; time-domain for the identity
+    and the warp. *)
+val prepared_distance : prepared -> Dataset.entry -> Dataset.entry -> float

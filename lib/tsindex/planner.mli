@@ -150,7 +150,7 @@ val range_resilient :
   ?counters:counters ->
   ?validate:bool ->
   ?admission:Simq_admission.t ->
-  ?sketch:(Dataset.entry -> Kindex.prefilter option) ->
+  ?sketch:(Kindex.prepared -> Dataset.entry -> Kindex.prefilter option) ->
   ?sketch_levels:int ->
   ?approx:float ->
   ?anytime:bool ->

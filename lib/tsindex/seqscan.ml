@@ -1,4 +1,4 @@
-module Cpx = Simq_dsp.Cpx
+module Flat = Simq_dsp.Flat
 module Series = Simq_series.Series
 module Distance = Simq_series.Distance
 module Relation = Simq_storage.Relation
@@ -26,16 +26,6 @@ type result = {
   full_computations : int;
   coefficients_touched : int;
 }
-
-let sq_norm z =
-  let re = Cpx.re z and im = Cpx.im z in
-  (re *. re) +. (im *. im)
-
-(* The transformed spectrum of an entry, restricted to the first
-   [limit] coefficients, produced lazily one coefficient at a time so
-   early abandoning does not pay for the whole vector. *)
-let transformed_coeff stretch (entry : Dataset.entry) f =
-  Cpx.mul stretch.(f) entry.Dataset.spectrum.(f)
 
 let check_query_length dataset spec query =
   let n = Dataset.series_length dataset in
@@ -73,23 +63,20 @@ let compute_warp ~abandon spec epsilon (q : Dataset.entry)
   | Some d when d <= epsilon -> (Some (entry, d), 1, touched)
   | _ -> (None, 1, touched)
 
-let compute_freq ~abandon ~stretch ~n ~limit epsilon (q : Dataset.entry)
+(* The transformed spectrum of an entry is never materialised: the
+   kernel applies the stretch one coefficient at a time, so early
+   abandoning does not pay for the whole vector. *)
+let compute_freq ~abandon ?stretch ~n ~limit epsilon (q : Dataset.entry)
     (entry : Dataset.entry) =
-  let acc = ref 0. in
-  let f = ref 0 in
-  let abandoned = ref false in
-  while (not !abandoned) && !f < n do
-    let diff =
-      Cpx.sub (transformed_coeff stretch entry !f) q.Dataset.spectrum.(!f)
-    in
-    acc := !acc +. sq_norm diff;
-    incr f;
-    if abandon && !acc > limit then abandoned := true
-  done;
-  if !abandoned then (None, 0, !f)
+  let x = entry.Dataset.spectrum and y = q.Dataset.spectrum in
+  let acc, touched =
+    if abandon then Flat.sq_distance_abandon ?stretch ~limit x y
+    else (Flat.sq_distance ?stretch x y, n)
+  in
+  if acc > limit && abandon then (None, 0, touched)
   else begin
-    let d = sqrt !acc in
-    ((if d <= epsilon then Some (entry, d) else None), 1, !f)
+    let d = sqrt acc in
+    ((if d <= epsilon then Some (entry, d) else None), 1, touched)
   end
 
 (* Frequency-domain scan for the length-preserving transformations; the
@@ -111,6 +98,7 @@ let scan_compute ~pool ~abandon ~normalise_query ?bstate dataset spec query
   let compute =
     match spec with
     | Spec.Warp _ -> compute_warp ~abandon spec epsilon q
+    | Spec.Identity -> compute_freq ~abandon ~n ~limit epsilon q
     | _ ->
       let stretch = Spec.stretch spec ~n in
       compute_freq ~abandon ~stretch ~n ~limit epsilon q

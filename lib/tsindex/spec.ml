@@ -20,13 +20,13 @@ let apply_series t s =
 
 let stretch t ~n =
   match t with
-  | Identity -> Array.make n Dsp.Cpx.one
+  | Identity -> Dsp.Flat.constant n Dsp.Cpx.one
   | Moving_average m -> Dsp.Window.transfer n (Dsp.Window.uniform m)
   | Weighted_ma w -> Dsp.Window.transfer n w
-  | Reverse -> Array.make n (Dsp.Cpx.of_float (-1.))
+  | Reverse -> Dsp.Flat.constant n (Dsp.Cpx.of_float (-1.))
   | Warp m ->
     let a = Warp_op.coefficients ~m ~n ~k:n in
-    Dsp.Cpx.scale_array (1. /. sqrt (float_of_int m)) a
+    Dsp.Flat.scale (1. /. sqrt (float_of_int m)) (Dsp.Flat.of_cpx a)
 
 let output_length t ~n =
   match t with

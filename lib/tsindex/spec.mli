@@ -20,13 +20,14 @@ type t =
     executable specification the index path is tested against. *)
 val apply_series : t -> Simq_series.Series.t -> Simq_series.Series.t
 
-(** [stretch t ~n] is the length-[n] frequency multiplier: applying [t]
-    to a series of length [n] multiplies its [f]-th unitary DFT
-    coefficient by [stretch.(f)]. For [Warp m] the result maps the
+(** [stretch t ~n] is the length-[n] frequency multiplier, flat (see
+    {!Simq_dsp.Flat}): applying [t] to a series of length [n]
+    multiplies its [f]-th unitary DFT coefficient by coefficient [f]
+    of the stretch. For [Warp m] the result maps the
     coefficients of the original onto the first [n] coefficients of the
     length-[m·n] output. Raises [Invalid_argument] when a window is wider
     than [n] or a warp factor is < 1. *)
-val stretch : t -> n:int -> Simq_dsp.Cpx.t array
+val stretch : t -> n:int -> Simq_dsp.Flat.t
 
 (** [output_length t ~n] is the length of [apply_series t s] for an
     input of length [n]: [m·n] for [Warp m], [n] otherwise. A range

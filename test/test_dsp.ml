@@ -208,8 +208,8 @@ let test_window_transfer_dc_gain () =
   List.iter
     (fun w ->
       let h = Window.transfer 32 w in
-      check_float_loose "H_0 real" 1. (Cpx.re h.(0));
-      check_float_loose "H_0 imaginary" 0. (Cpx.im h.(0)))
+      check_float_loose "H_0 real" 1. (Cpx.re (Flat.get h 0));
+      check_float_loose "H_0 imaginary" 0. (Cpx.im (Flat.get h 0)))
     [
       Window.uniform 5; Window.triangular 7; Window.ascending 4;
       Window.exponential ~alpha:0.4 6; Window.custom [| 2.; 1. |];
@@ -222,7 +222,8 @@ let test_window_transfer_is_moving_average () =
   let w = Window.uniform 3 in
   let time_domain = Convolution.circular_real x (Window.kernel 16 w) in
   let freq =
-    Fft.ifft (Cpx.mul_arrays (Window.transfer 16 w) (Fft.fft_real x))
+    Fft.ifft
+      (Cpx.mul_arrays (Flat.to_cpx (Window.transfer 16 w)) (Fft.fft_real x))
   in
   Array.iteri
     (fun idx v -> check_float_loose "transfer = conv" time_domain.(idx) v)
@@ -332,6 +333,130 @@ let prop_early_abandon_agrees =
       | Some d' -> Float.abs (d -. d') <= 1e-9
       | None -> d > threshold -. 1e-9)
 
+(* --- Flat kernels: bit-for-bit oracles ---------------------------------- *)
+
+(* The boxed computations the flat kernels replaced: Cpx.mul by the
+   stretch, Cpx.sub of the query, re² + im² added in frequency order. *)
+let sq_norm z = (Cpx.re z *. Cpx.re z) +. (Cpx.im z *. Cpx.im z)
+
+let boxed_term ?stretch x q f =
+  let xf = match stretch with None -> x.(f) | Some s -> Cpx.mul s.(f) x.(f) in
+  sq_norm (Cpx.sub xf q.(f))
+
+let boxed_sum ?stretch x q freqs =
+  Array.fold_left (fun acc f -> acc +. boxed_term ?stretch x q f) 0. freqs
+
+(* The early-abandon loop of the boxed sequential scan: the sum reached
+   and the coefficients read. *)
+let boxed_abandon ?stretch ~limit x q =
+  let n = Array.length x in
+  let acc = ref 0. and f = ref 0 and abandoned = ref false in
+  while (not !abandoned) && !f < n do
+    acc := !acc +. boxed_term ?stretch x q !f;
+    incr f;
+    if !acc > limit then abandoned := true
+  done;
+  (!acc, !f)
+
+let bits = Int64.bits_of_float
+let same_bits a b = Int64.equal (bits a) (bits b)
+
+(* Random spectra and stretches of one length, with a subset of
+   frequencies and a threshold scaled to the spectra. *)
+let kernel_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 96 in
+    let coeffs =
+      array_size (return n)
+        (map2 Cpx.make (float_range (-50.) 50.) (float_range (-50.) 50.))
+    in
+    let* x = coeffs and* q = coeffs and* s = coeffs in
+    let* freqs = array_size (int_range 0 8) (int_range 0 (n - 1)) in
+    let* fraction = float_range 0. 1.5 in
+    return (x, q, s, freqs, fraction))
+
+let arb_kernel_case =
+  QCheck.make
+    ~print:(fun (x, _, _, freqs, fraction) ->
+      Printf.sprintf "n=%d freqs=%d fraction=%g" (Array.length x)
+        (Array.length freqs) fraction)
+    kernel_case_gen
+
+let prop_flat_full_distance =
+  QCheck.Test.make ~name:"Flat.sq_distance = boxed distance, bit for bit"
+    ~count:200 arb_kernel_case (fun (x, q, s, _, _) ->
+      let fx = Flat.of_cpx x and fq = Flat.of_cpx q and fs = Flat.of_cpx s in
+      same_bits
+        (sqrt (Flat.sq_distance fx fq))
+        (Spectrum.distance x q)
+      && same_bits
+           (sqrt (Flat.sq_distance ~stretch:fs fx fq))
+           (Spectrum.distance (Cpx.mul_arrays s x) q))
+
+let prop_flat_subset =
+  QCheck.Test.make ~name:"Flat.sq_distance_at = boxed subset sum, bit for bit"
+    ~count:200 arb_kernel_case (fun (x, q, s, freqs, _) ->
+      let fx = Flat.of_cpx x and fq = Flat.of_cpx q and fs = Flat.of_cpx s in
+      let prefix =
+        Array.init (min (Array.length freqs) (Array.length x)) Fun.id
+      in
+      same_bits (Flat.sq_distance_at ~freqs fx fq) (boxed_sum x q freqs)
+      && same_bits
+           (Flat.sq_distance_at ~stretch:fs ~freqs fx fq)
+           (boxed_sum ~stretch:s x q freqs)
+      && same_bits
+           (sqrt (Flat.sq_distance_at ~freqs:prefix fx fq))
+           (Spectrum.prefix_distance (Array.length prefix) x q))
+
+let prop_flat_abandon =
+  QCheck.Test.make
+    ~name:"Flat.sq_distance_abandon: same verdict, sum and coefficients read"
+    ~count:300 arb_kernel_case (fun (x, q, s, _, fraction) ->
+      let fx = Flat.of_cpx x and fq = Flat.of_cpx q and fs = Flat.of_cpx s in
+      let check ?stretch ?fstretch () =
+        let every = Array.init (Array.length x) Fun.id in
+        let limit = fraction *. boxed_sum ?stretch x q every in
+        let acc, touched =
+          Flat.sq_distance_abandon ?stretch:fstretch ~limit fx fq
+        in
+        let acc', touched' = boxed_abandon ?stretch ~limit x q in
+        let threshold = sqrt limit in
+        let verdict = Spectrum.distance_early_abandon ~threshold x q in
+        same_bits acc acc' && touched = touched'
+        && (stretch <> None || Option.is_none verdict = (acc > limit))
+      in
+      check () && check ~stretch:s ~fstretch:fs ())
+
+(* The flat FFT against the direct DFT, to 1e-12 of the signal's scale
+   (its L2 norm, which the unitary transform preserves). *)
+let test_flat_fft_matches_dft () =
+  List.iter
+    (fun n ->
+      let x = random_signal (300 + n) n in
+      let scale = sqrt (Spectrum.energy_real x) in
+      let flat = Fft.fft_real_flat x in
+      let direct = Dft.dft_real x in
+      Alcotest.(check int)
+        (Printf.sprintf "length n=%d" n)
+        n (Flat.length flat);
+      Array.iteri
+        (fun f z ->
+          let got = Flat.get flat f in
+          let err =
+            Float.max
+              (Float.abs (Cpx.re got -. Cpx.re z))
+              (Float.abs (Cpx.im got -. Cpx.im z))
+          in
+          if err > 1e-12 *. scale then
+            Alcotest.failf "n=%d f=%d: |fft - dft| = %g > %g" n f err
+              (1e-12 *. scale))
+        direct;
+      let energy = Flat.sq_distance flat (Array.make (2 * n) 0.) in
+      if Float.abs (energy -. (scale *. scale)) > 1e-12 *. scale *. scale then
+        Alcotest.failf "n=%d: Parseval, %.17g vs %.17g" n energy
+          (scale *. scale))
+    [ 1; 2; 3; 5; 7; 100; 128; 1024 ]
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -340,6 +465,9 @@ let properties =
       prop_parseval;
       prop_convolution_theorem;
       prop_early_abandon_agrees;
+      prop_flat_full_distance;
+      prop_flat_subset;
+      prop_flat_abandon;
     ]
 
 let () =
@@ -370,6 +498,11 @@ let () =
           Alcotest.test_case "prime sizes (Bluestein)" `Quick test_fft_prime_sizes;
           Alcotest.test_case "impulse" `Quick test_fft_impulse;
           Alcotest.test_case "power-of-two helpers" `Quick test_power_of_two_helpers;
+        ] );
+      ( "flat",
+        [
+          Alcotest.test_case "flat fft = dft, pow2 and Bluestein" `Quick
+            test_flat_fft_matches_dft;
         ] );
       ( "convolution",
         [

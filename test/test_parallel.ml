@@ -389,7 +389,7 @@ let test_parallel_build_eq_sequential () =
           Alcotest.(check bool)
             (Printf.sprintf "spectrum bit-identical, domains=%d" d)
             true
-            (a.Dataset.spectrum = b.Dataset.spectrum);
+            (Simq_dsp.Flat.bit_equal a.Dataset.spectrum b.Dataset.spectrum);
           Alcotest.(check (float 0.)) "mean" a.Dataset.mean b.Dataset.mean;
           Alcotest.(check (float 0.)) "std" a.Dataset.std b.Dataset.std)
         (Dataset.entries seq) (Dataset.entries par))

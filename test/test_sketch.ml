@@ -75,8 +75,8 @@ let prop_levels_lower_bound =
           let query = query_for d spec qseed in
           let q = Dataset.prepare_query ~normalise:true query in
           let prepared = Kindex.prepare index spec in
-          let dist = Kindex.prepared_distance index prepared q in
-          (match Sketch.funnel sketch ~spec ~query:q with
+          let dist = Kindex.prepared_distance prepared q in
+          (match Sketch.funnel sketch prepared q with
           | None -> (
             match spec with
             | Spec.Warp _ -> ()
@@ -94,7 +94,7 @@ let prop_levels_lower_bound =
                         (Spec.name spec) name b x entry.Dataset.id)
                   (Dataset.entries d))
               pf.Kindex.levels);
-          match Sketch.nn_bound sketch ~spec ~query:q with
+          match Sketch.nn_bound sketch prepared q with
           | None -> ()
           | Some bound ->
             Array.iter
@@ -144,7 +144,7 @@ let prop_sketched_eq_unsketched =
               in
               if not skip then (
                 let query = query_for d spec qseed in
-                let funnel q = Sketch.funnel sketch ~spec ~query:q in
+                let funnel = Sketch.funnel sketch in
                 let expected =
                   Kindex.range ~spec index ~query ~epsilon:epsilon
                 in
@@ -159,7 +159,7 @@ let prop_sketched_eq_unsketched =
                 let nn_expected = Kindex.nearest ~spec index ~query ~k:5 in
                 let nn_sketched =
                   Kindex.nearest ~spec
-                    ~sketch:(fun q -> Sketch.nn_bound sketch ~spec ~query:q)
+                    ~sketch:(Sketch.nn_bound sketch)
                     index ~query ~k:5
                 in
                 Alcotest.(check (list (pair (float 0.) int)))
@@ -237,7 +237,7 @@ let test_approx_guarantee () =
   let d = dataset_of ~seed:5 ~count:80 ~n:32 in
   let index = Kindex.build d in
   let sketch = Sketch.create d in
-  let funnel q = Sketch.funnel sketch ~spec:Spec.Identity ~query:q in
+  let funnel = Sketch.funnel sketch in
   List.iter
     (fun qseed ->
       let query = query_for d Spec.Identity qseed in
@@ -277,7 +277,7 @@ let test_approx_rejects_bad_a () =
   let d = dataset_of ~seed:5 ~count:20 ~n:32 in
   let index = Kindex.build d in
   let sketch = Sketch.create d in
-  let funnel q = Sketch.funnel sketch ~spec:Spec.Identity ~query:q in
+  let funnel = Sketch.funnel sketch in
   let query = query_for d Spec.Identity 1 in
   List.iter
     (fun a ->
@@ -295,7 +295,7 @@ let test_anytime_partial_is_sound () =
   let d = dataset_of ~seed:9 ~count:80 ~n:32 in
   let index = Kindex.build d in
   let sketch = Sketch.create d in
-  let funnel q = Sketch.funnel sketch ~spec:Spec.Identity ~query:q in
+  let funnel = Sketch.funnel sketch in
   let seen_partial = ref false in
   List.iter
     (fun qseed ->
@@ -336,7 +336,7 @@ let test_anytime_with_headroom_is_exact () =
   let d = dataset_of ~seed:9 ~count:60 ~n:32 in
   let index = Kindex.build d in
   let sketch = Sketch.create d in
-  let funnel q = Sketch.funnel sketch ~spec:Spec.Identity ~query:q in
+  let funnel = Sketch.funnel sketch in
   let query = query_for d Spec.Identity 4 in
   let epsilon = 7. in
   let exact = pairs (Kindex.range index ~query ~epsilon).Kindex.answers in
@@ -356,7 +356,7 @@ let test_profile_shows_funnel () =
   let d = dataset_of ~seed:13 ~count:80 ~n:32 in
   let index = Kindex.build d in
   let sketch = Sketch.create d in
-  let funnel q = Sketch.funnel sketch ~spec:Spec.Identity ~query:q in
+  let funnel = Sketch.funnel sketch in
   let query = query_for d Spec.Identity 3 in
   let p = Profile.create () in
   ignore
@@ -377,7 +377,7 @@ let test_filter_counters_match_on_filtered () =
   let sketch = Sketch.create d in
   let query = query_for d Spec.Identity 3 in
   let tallied = [| 0; 0 |] in
-  let counted q =
+  let counted prepared q =
     Option.map
       (fun (pf : Kindex.prefilter) ->
         {
@@ -387,7 +387,7 @@ let test_filter_counters_match_on_filtered () =
               tallied.(level) <- tallied.(level) + n;
               pf.Kindex.on_filtered level n);
         })
-      (Sketch.funnel sketch ~spec:Spec.Identity ~query:q)
+      (Sketch.funnel sketch prepared q)
   in
   let totals =
     Metrics.with_enabled true (fun () ->
@@ -403,6 +403,101 @@ let test_filter_counters_match_on_filtered () =
     [ tallied.(0); tallied.(1) ]
     totals;
   Alcotest.(check bool) "the funnel filtered something" true (tallied.(0) > 0)
+
+(* --- the insert path --------------------------------------------------------- *)
+
+(* A series appended after the sketch table was built gets its spectrum
+   from [Dataset.insert] and its segment means on the fly; range and NN
+   answers that reach it must still equal the time-domain reference. *)
+
+let reference_range d spec ~query ~epsilon =
+  pairs (Seqscan.reference ~spec d ~query ~epsilon)
+
+let reference_nearest d spec ~query ~k =
+  let ranked =
+    List.sort
+      (fun (ia, da) (ib, db) ->
+        match Float.compare da db with 0 -> Int.compare ia ib | c -> c)
+      (reference_range d spec ~query ~epsilon:Float.infinity)
+  in
+  List.filteri (fun i _ -> i < k) ranked
+
+let check_reaches ~label ~fresh expected got =
+  Alcotest.(check bool)
+    (label ^ ": the reference reaches the new series")
+    true
+    (List.mem_assoc fresh expected);
+  Alcotest.(check (list int)) (label ^ ": ids") (List.map fst expected)
+    (List.map fst got);
+  List.iter2
+    (fun (id, want) (_, d) ->
+      if Float.abs (want -. d) > 1e-6 then
+        Alcotest.failf "%s: entry %d at %.17g, reference %.17g" label id d want)
+    expected got
+
+(* (id, distance) rows of an engine answer, in answer order. *)
+let engine_rows engine text =
+  match Simq_serve.Engine.exec engine text with
+  | Error _ -> Alcotest.failf "%s: engine error" text
+  | Ok o -> (
+    let module J = Simq_obs.Json in
+    match o.Simq_serve.Engine.results with
+    | J.Arr rows ->
+      List.map
+        (fun row ->
+          match (J.member "id" row, J.member "distance" row) with
+          | Some (J.Num id), Some (J.Num d) -> (int_of_float id, d)
+          | _ -> Alcotest.failf "%s: malformed row" text)
+        rows
+    | _ -> Alcotest.failf "%s: no result rows" text)
+
+let test_engine_insert_path () =
+  let d = dataset_of ~seed:31 ~count:60 ~n:32 in
+  let index = Kindex.build d in
+  let engine = Simq_serve.Engine.create ~sketch:Sketch.default index in
+  let series = query_for d Spec.Identity 5 in
+  let fresh = (Kindex.insert index ~name:"fresh" series).Dataset.id in
+  Alcotest.(check int) "appended past the sketch table" 60 fresh;
+  List.iter
+    (fun (using, spec) ->
+      let label = Printf.sprintf "engine RANGE%s" using in
+      check_reaches ~label ~fresh
+        (reference_range d spec ~query:series ~epsilon:5.)
+        (engine_rows engine
+           (Printf.sprintf "RANGE FROM r%s QUERY s%d EPS 5.0" using fresh)))
+    [ ("", Spec.Identity); (" USING mavg(4)", Spec.Moving_average 4) ];
+  check_reaches ~label:"engine NEAREST" ~fresh
+    (reference_nearest d Spec.Identity ~query:series ~k:3)
+    (engine_rows engine (Printf.sprintf "NEAREST 3 FROM r QUERY s%d" fresh))
+
+let test_shard_insert_path () =
+  let d = dataset_of ~seed:32 ~count:60 ~n:32 in
+  let sh =
+    Shard.create ~pool:Pool.sequential ~sketch:Sketch.default ~shards:4 d
+  in
+  let last = Shard.shards sh - 1 in
+  let lo, hi = Shard.bounds sh last in
+  (* A copy of a series of the last shard lies inside that shard's
+     catalogue box. Appending it to the parent and to the last shard
+     keeps the gather's global id (lo + local id) pointing at it. *)
+  let series = (Dataset.get d (hi - 1)).Dataset.series in
+  let fresh = (Dataset.insert d ~name:"fresh" series).Dataset.id in
+  let local =
+    Kindex.insert (Shard.shard_index sh last) ~name:"fresh" series
+  in
+  Alcotest.(check int) "global id of the shard's new entry" fresh
+    (lo + local.Dataset.id);
+  List.iter
+    (fun spec ->
+      let label s = Printf.sprintf "shard %s %s" s (Spec.name spec) in
+      let query = query_for d spec (hi - 1) in
+      check_reaches ~label:(label "range") ~fresh
+        (reference_range d spec ~query ~epsilon:5.)
+        (pairs (Shard.range ~spec sh ~query ~epsilon:5.).Shard.answers))
+    [ Spec.Identity; Spec.Moving_average 4 ];
+  check_reaches ~label:"shard nearest" ~fresh
+    (reference_nearest d Spec.Identity ~query:series ~k:3)
+    (pairs (Shard.nearest sh ~query:series ~k:3).Shard.neighbours)
 
 let () =
   Alcotest.run "simq_sketch"
@@ -428,6 +523,13 @@ let () =
             test_anytime_partial_is_sound;
           Alcotest.test_case "headroom keeps it exact" `Quick
             test_anytime_with_headroom_is_exact;
+        ] );
+      ( "insert path",
+        [
+          Alcotest.test_case "engine RANGE/NEAREST reach an inserted series"
+            `Quick test_engine_insert_path;
+          Alcotest.test_case "shard RANGE/NEAREST reach an inserted series"
+            `Quick test_shard_insert_path;
         ] );
       ( "observability",
         [

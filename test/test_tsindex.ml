@@ -56,7 +56,10 @@ let test_spec_stretch_predicts_spectrum () =
     (fun spec ->
       let n = 32 in
       let stretch = Spec.stretch spec ~n in
-      let predicted = Simq_dsp.Cpx.mul_arrays stretch spectrum in
+      let predicted =
+        Simq_dsp.Flat.to_cpx
+          (Simq_dsp.Flat.mul stretch (Simq_dsp.Flat.of_cpx spectrum))
+      in
       let actual = Simq_dsp.Fft.fft_real (Spec.apply_series spec s) in
       let actual_prefix = Array.sub actual 0 n in
       Alcotest.(check bool)
@@ -80,7 +83,7 @@ let test_dataset_preparation () =
       Alcotest.(check bool) "normal form" true
         (Simq_series.Normal_form.is_normal e.Dataset.normal);
       Alcotest.(check (float 1e-9)) "coefficient 0 is zero" 0.
-        (Simq_dsp.Cpx.abs e.Dataset.spectrum.(0)))
+        (Simq_dsp.Cpx.abs (Simq_dsp.Flat.get e.Dataset.spectrum 0)))
     (Dataset.entries d)
 
 let test_dataset_rejects_mixed_lengths () =
