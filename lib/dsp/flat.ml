@@ -30,6 +30,11 @@ let of_real xs =
   x
 
 let constant n z = of_cpx (Array.make n z)
+let half_length n = (n / 2) + 1
+
+let half x =
+  if length x = 0 then invalid_arg "Flat.half: empty vector";
+  Array.sub x 0 (2 * half_length (length x))
 
 let check name x y =
   if Array.length x <> Array.length y then
@@ -49,13 +54,25 @@ let mul s x =
 
 let scale a x = Array.map (fun v -> a *. v) x
 
-(* The full and early-abandon kernels index with [unsafe_get] only
-   after [check_pair] has proved every operand has the same length, so
-   their inner loops carry no bounds checks. With the accumulator a
-   local float ref, no kernel allocates in its inner loop. *)
-let check_pair name stretch x q =
-  check name x q;
-  match stretch with Some s -> check name s x | None -> ()
+(* The kernels index with [unsafe_get] only after [check_half] has
+   proved every operand holds the [n / 2 + 1] coefficients of a
+   length-[n] half spectrum, so their inner loops carry no bounds
+   checks. With the accumulator a local float ref, no kernel allocates
+   in its inner loop. *)
+let check_half name ~n stretch x q =
+  let len = 2 * half_length n in
+  let ok =
+    n >= 1
+    && Array.length x = len
+    && Array.length q = len
+    && match stretch with None -> true | Some s -> Array.length s = len
+  in
+  if not ok then
+    invalid_arg
+      (Printf.sprintf
+         "Flat.%s: operands must hold the %d coefficients of a length-%d \
+          half spectrum"
+         name (half_length n) n)
 
 let uget (x : t) i = Array.unsafe_get x i [@@inline]
 
@@ -72,61 +89,85 @@ let[@inline] term_stretched s x q i =
   let di = ((sr *. xi) +. (si *. xr)) -. uget q (i + 1) in
   (dr *. dr) +. (di *. di)
 
-let sq_distance ?stretch x q =
-  check_pair "sq_distance" stretch x q;
+(* [w_f *. t] for the multiplicity [w_f] of half-spectrum coefficient
+   [f] in the full spectrum: 1 for DC and for an even [n]'s Nyquist term
+   (their own mirrors), 2 otherwise. Where [w_f = 1] the multiply is
+   skipped; [1. *. t = t], so the bits are the same. *)
+let[@inline] weighted ~n f t = if f = 0 || 2 * f = n then t else 2. *. t
+
+(* The full sum in three runs — DC, the mirrored pairs 1 .. (n - 1) / 2
+   at weight 2, the Nyquist term of an even [n] — is [acc +. w_f *. t_f]
+   in frequency order without a weight test per coefficient. *)
+let sq_distance ?stretch ~n x q =
+  check_half "sq_distance" ~n stretch x q;
+  let last_pair = (n - 1) / 2 in
   let acc = ref 0. in
   (match stretch with
   | None ->
-    for f = 0 to length x - 1 do
-      acc := !acc +. term x q (2 * f)
-    done
+    acc := !acc +. term x q 0;
+    for f = 1 to last_pair do
+      acc := !acc +. (2. *. term x q (2 * f))
+    done;
+    if n mod 2 = 0 then acc := !acc +. term x q n
   | Some s ->
-    for f = 0 to length x - 1 do
-      acc := !acc +. term_stretched s x q (2 * f)
-    done);
+    acc := !acc +. term_stretched s x q 0;
+    for f = 1 to last_pair do
+      acc := !acc +. (2. *. term_stretched s x q (2 * f))
+    done;
+    if n mod 2 = 0 then acc := !acc +. term_stretched s x q n);
   !acc
 
 (* Indexes [freqs] with ordinary bounds checks, so a frequency outside
-   [0, length x) is rejected without a separate validation pass. *)
-let sq_distance_at ?stretch ~freqs x q =
-  check_pair "sq_distance_at" stretch x q;
+   [0, n / 2] is rejected without a separate validation pass. *)
+let sq_distance_at ?stretch ~n ~freqs x q =
+  check_half "sq_distance_at" ~n stretch x q;
   let acc = ref 0. in
   (match stretch with
   | None ->
     for j = 0 to Array.length freqs - 1 do
-      let i = 2 * freqs.(j) in
+      let f = freqs.(j) in
+      let i = 2 * f in
       let dr = x.(i) -. q.(i) and di = x.(i + 1) -. q.(i + 1) in
-      acc := !acc +. ((dr *. dr) +. (di *. di))
+      acc := !acc +. weighted ~n f ((dr *. dr) +. (di *. di))
     done
   | Some s ->
     for j = 0 to Array.length freqs - 1 do
-      let i = 2 * freqs.(j) in
+      let f = freqs.(j) in
+      let i = 2 * f in
       let sr = s.(i) and si = s.(i + 1) and xr = x.(i) and xi = x.(i + 1) in
       let dr = ((sr *. xr) -. (si *. xi)) -. q.(i) in
       let di = ((sr *. xi) +. (si *. xr)) -. q.(i + 1) in
-      acc := !acc +. ((dr *. dr) +. (di *. di))
+      acc := !acc +. weighted ~n f ((dr *. dr) +. (di *. di))
     done);
   !acc
 
-let sq_distance_abandon ?stretch ~limit x q =
-  check_pair "sq_distance_abandon" stretch x q;
-  let n = length x in
+(* The runs of {!sq_distance}, each step taken only while the running
+   sum is within [limit]. Like the scans this replaces it adds before
+   testing, so DC is always read; [f] counts the coefficients read. *)
+let sq_distance_abandon ?stretch ~n ~limit x q =
+  check_half "sq_distance_abandon" ~n stretch x q;
+  let last_pair = (n - 1) / 2 in
   let acc = ref 0. in
-  let f = ref 0 in
-  (* Add before testing, like the scans this replaces: a non-empty
-     vector always reads its first coefficient. *)
-  let go = ref (n > 0) in
+  let f = ref 1 in
   (match stretch with
   | None ->
-    while !go do
-      acc := !acc +. term x q (2 * !f);
-      incr f;
-      go := !f < n && not (!acc > limit)
-    done
+    acc := !acc +. term x q 0;
+    while !f <= last_pair && not (!acc > limit) do
+      acc := !acc +. (2. *. term x q (2 * !f));
+      incr f
+    done;
+    if n mod 2 = 0 && not (!acc > limit) then begin
+      acc := !acc +. term x q n;
+      incr f
+    end
   | Some s ->
-    while !go do
-      acc := !acc +. term_stretched s x q (2 * !f);
-      incr f;
-      go := !f < n && not (!acc > limit)
-    done);
+    acc := !acc +. term_stretched s x q 0;
+    while !f <= last_pair && not (!acc > limit) do
+      acc := !acc +. (2. *. term_stretched s x q (2 * !f));
+      incr f
+    done;
+    if n mod 2 = 0 && not (!acc > limit) then begin
+      acc := !acc +. term_stretched s x q n;
+      incr f
+    end);
   (!acc, !f)

@@ -45,7 +45,8 @@ let kernel n w =
   Array.init n (fun idx -> if idx < m then w.weights.(idx) else 0.)
 
 let transfer n w =
-  Flat.scale (sqrt (float_of_int n)) (Fft.fft_real_flat (kernel n w))
+  Flat.scale (sqrt (float_of_int n))
+    (Flat.half (Fft.fft_real_flat (kernel n w)))
 
 let pp ppf w =
   Format.fprintf ppf "window[%a]"

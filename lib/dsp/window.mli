@@ -37,10 +37,12 @@ val width : t -> int
     signal length). Raises [Invalid_argument] when [width w > n]. *)
 val kernel : int -> t -> float array
 
-(** [transfer n w] is the frequency response of [kernel n w], flat:
-    its unnormalised DFT [H_f = Σ_t kernel_t e^(-2π·t·f·j/n)]. Multiplying a
-    signal's DFT element-wise by [transfer n w] equals taking the
-    circular moving average in the time domain, which is the
+(** [transfer n w] is the frequency response of [kernel n w] in the
+    half layout of {!Flat.half}: coefficients [f = 0 .. n/2] of its
+    unnormalised DFT [H_f = Σ_t kernel_t e^(-2π·t·f·j/n)] (the kernel
+    is real, so the rest are their conjugates). Multiplying a signal's
+    half spectrum element-wise by [transfer n w] gives the half
+    spectrum of its circular moving average, which is the
     transformation [T_mavg = (a, 0)] of Section 3.2. *)
 val transfer : int -> t -> Flat.t
 

@@ -37,8 +37,14 @@ let repeated k w s =
   let rec go k s = if k = 0 then s else go (k - 1) (circular w s) in
   go k s
 
+(* The product of two half spectra is the half spectrum of the moving
+   average; its mirror supplies coefficients n/2 + 1 .. n - 1. *)
 let via_dft w s =
   let n = Array.length s in
   let transfer = Dsp.Window.transfer n w in
-  let spectrum = Dsp.Fft.fft_real_flat s in
-  Series.idft (Dsp.Flat.to_cpx (Dsp.Flat.mul transfer spectrum))
+  let spectrum = Dsp.Flat.half (Dsp.Fft.fft_real_flat s) in
+  let half = Dsp.Flat.mul transfer spectrum in
+  Series.idft
+    (Array.init n (fun f ->
+         if f < Dsp.Flat.length half then Dsp.Flat.get half f
+         else Dsp.Cpx.conj (Dsp.Flat.get half (n - f))))

@@ -22,7 +22,8 @@ val sliding : int -> Series.t -> Series.t
 val repeated : int -> Simq_dsp.Window.t -> Series.t -> Series.t
 
 (** [via_dft w s] computes the circular moving average in the frequency
-    domain: multiply the spectrum by the window's transfer function and
-    transform back. Agrees with [circular] up to rounding; it is the
-    executable statement that [T_mavg] really is the moving average. *)
+    domain: multiply the half spectrum by the window's transfer
+    function, complete it by conjugate symmetry and transform back.
+    Agrees with [circular] up to rounding; it is the executable
+    statement that [T_mavg] really is the moving average. *)
 val via_dft : Simq_dsp.Window.t -> Series.t -> Series.t

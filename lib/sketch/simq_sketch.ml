@@ -28,21 +28,12 @@ type t = {
   segmeans : float array array;
 }
 
-(* Both-ends coarse frequency set: {1..c} and their conjugate mirrors
-   {n-c..n-1}, deduplicated and clamped inside [1, n-1] (coefficient 0
-   of a normal form is always 0 on both sides). For real series the
-   mirror of f carries the conjugate coefficient, so taking both
-   halves doubles the captured energy without reading more of the
-   record. *)
+(* Coarse frequency set {1..min(c, (n-1)/2)}: the coefficients with a
+   distinct conjugate mirror, each weighted 2 by the kernel, so the
+   level captures both ends of the spectrum from one half (coefficient
+   0 of a normal form is always 0 on both sides). *)
 let coarse_freqs ~n ~coarse =
-  let mem f l = List.exists (Int.equal f) l in
-  let add acc f = if f >= 1 && f <= n - 1 && not (mem f acc) then f :: acc else acc in
-  let acc = ref [] in
-  for f = 1 to coarse do
-    acc := add !acc f;
-    acc := add !acc (n - f)
-  done;
-  Array.of_list (List.sort compare !acc)
+  Array.init (Int.min coarse ((n - 1) / 2)) (fun i -> i + 1)
 
 (* Segment lengths of an n-point series cut into [segments] pieces:
    the first [n mod s] segments carry one extra point. Query and data
@@ -91,12 +82,13 @@ let slack = 1. -. 1e-9
 
 (* Partial frequency-domain distance over the coarse set: for every
    length-preserving transformation the exact postfilter distance is
-   sqrt (sum over all f of |s_f X_f - Q_f|^2) (by Parseval for the
-   identity), and any subset of the non-negative terms lower-bounds
-   it. *)
-let coarse_bound ~freqs ~stretch ~(q : Dataset.entry) (entry : Dataset.entry) =
+   sqrt (sum over f of w_f |s_f X_f - Q_f|^2) over the half spectrum,
+   the same kernel's full sum, and any subset of its non-negative
+   weighted terms lower-bounds it. *)
+let coarse_bound ~n ~freqs ~stretch ~(q : Dataset.entry)
+    (entry : Dataset.entry) =
   sqrt
-    (Flat.sq_distance_at ?stretch ~freqs entry.Dataset.spectrum
+    (Flat.sq_distance_at ?stretch ~n ~freqs entry.Dataset.spectrum
        q.Dataset.spectrum)
   *. slack
 
@@ -145,13 +137,13 @@ let level_bounds t prepared (query : Dataset.entry) =
     let qmeans = seg_means ~lengths query.Dataset.normal in
     Some
       [|
-        ("coarse", coarse_bound ~freqs ~stretch:None ~q:query);
+        ("coarse", coarse_bound ~n ~freqs ~stretch:None ~q:query);
         ("segment", segment_bound t ~lengths ~qmeans);
       |]
   | _ ->
     let freqs = coarse_freqs ~n ~coarse:t.config.coarse in
     let stretch = Kindex.prepared_stretch prepared in
-    Some [| ("coarse", coarse_bound ~freqs ~stretch ~q:query) |]
+    Some [| ("coarse", coarse_bound ~n ~freqs ~stretch ~q:query) |]
 
 let funnel t prepared query =
   match level_bounds t prepared query with

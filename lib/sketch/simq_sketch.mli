@@ -8,10 +8,12 @@
     touches the survivors. Two resolutions are kept per series:
 
     - {b coarse}: the partial frequency-domain distance over the first
-      few DFT coefficients and their conjugate mirrors (the
-      high-energy ends of the spectrum the k-index itself is built
-      on), valid for every length-preserving transformation because
-      the stretch acts coefficient-wise;
+      few DFT coefficients, each weighted twice for its conjugate
+      mirror (the high-energy ends of the spectrum the k-index itself
+      is built on), read from the stored half spectra by
+      {!Simq_dsp.Flat.sq_distance_at}; valid for every
+      length-preserving transformation because the stretch acts
+      coefficient-wise;
     - {b segment}: a piecewise-constant summary — per-segment means of
       the normal form — whose length-weighted mean differences
       lower-bound the euclidean distance by Cauchy–Schwarz. Identity
@@ -25,9 +27,10 @@ type t
 
 type config = {
   coarse : int;
-      (** DFT coefficients taken from {e each} end of the spectrum for
-          the coarse level (so up to [2 * coarse] terms). Must be
-          >= 1. *)
+      (** DFT coefficients [1 .. min coarse ((n-1)/2)] read by the
+          coarse level, each standing for itself and its conjugate
+          mirror (so up to [2 * coarse] terms of the full spectrum).
+          Must be >= 1. *)
   segments : int;
       (** segment count of the piecewise-constant level (capped at the
           series length). Must be >= 1. *)
@@ -35,6 +38,11 @@ type config = {
 
 (** [{ coarse = 2; segments = 8 }]. *)
 val default : config
+
+(** [coarse_freqs ~n ~coarse] is the coarse level's frequency set for
+    series of length [n]: [1 .. min coarse ((n-1)/2)], the coefficients
+    that have a distinct conjugate mirror (empty for [n <= 2]). *)
+val coarse_freqs : n:int -> coarse:int -> int array
 
 (** [create ?config dataset] precomputes the segment sketches of every
     entry in [dataset]. Coarse sketches need no extra storage — they

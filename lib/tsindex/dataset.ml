@@ -19,6 +19,8 @@ type t = {
   relation : Relation.t;
 }
 
+let half_spectrum s = Simq_dsp.Flat.half (Simq_dsp.Fft.fft_real_flat s)
+
 let prepare ~id ~name series =
   let d = Normal_form.decompose series in
   {
@@ -26,7 +28,7 @@ let prepare ~id ~name series =
     name;
     series;
     normal = d.Normal_form.normalised;
-    spectrum = Simq_dsp.Fft.fft_real_flat d.Normal_form.normalised;
+    spectrum = half_spectrum d.Normal_form.normalised;
     mean = d.Normal_form.mean;
     std = d.Normal_form.std;
   }
@@ -79,7 +81,7 @@ let prepare_query ?(normalise = true) q =
       name = "query";
       series = q;
       normal = q;
-      spectrum = Simq_dsp.Fft.fft_real_flat q;
+      spectrum = half_spectrum q;
       mean = 0.;
       std = 1.;
     }

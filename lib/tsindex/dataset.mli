@@ -8,11 +8,15 @@
     index dimensions.
 
     {b Spectrum layout.} Each entry holds its spectrum as one unboxed
-    {!Simq_dsp.Flat.t}: a [float array] of length [2n] with the real
-    and imaginary parts of coefficient [f] at indices [2f] and [2f + 1].
-    Every exact frequency-domain distance (index postfilter, sketch
-    coarse bound, sequential scan, join) reads it through the
-    {!Simq_dsp.Flat} kernels without allocating. The layout is per
+    {!Simq_dsp.Flat.t} in the half layout of {!Simq_dsp.Flat.half}: the
+    series is real, so its DFT is conjugate-symmetric and only
+    coefficients [0 .. n/2] are stored — a [float array] of length
+    [2 (n/2 + 1)] (130 floats at [n = 128]) with the real and imaginary
+    parts of coefficient [f] at indices [2f] and [2f + 1]. Every exact
+    frequency-domain distance (index postfilter, sketch coarse bound,
+    sequential scan, join) reads it through the {!Simq_dsp.Flat}
+    kernels, which weight each coefficient by its multiplicity in the
+    full spectrum, without allocating. The layout is per
     entry, not one data-set-wide slab: in a prototype on 8192 series
     of length 128, a coarse bound over 6553 candidates in R-tree order
     took 0.63 ms with per-entry arrays, 0.53 ms with a slab and 7.0 ms
@@ -25,8 +29,8 @@ type entry = {
   series : Simq_series.Series.t;  (** the original series *)
   normal : Simq_series.Series.t;  (** its normal form *)
   spectrum : Simq_dsp.Flat.t;
-      (** full unitary DFT of [normal], re/im interleaved (see above);
-          coefficient 0 is always 0 *)
+      (** coefficients [0 .. n/2] of the unitary DFT of [normal], re/im
+          interleaved (see above); coefficient 0 is always 0 *)
   mean : float;
   std : float;
 }

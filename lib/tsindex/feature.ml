@@ -9,8 +9,12 @@ let default = { k = 2; representation = Coords.Polar }
 
 let validate config ~n =
   if config.k < 1 then invalid_arg "Feature.validate: k must be >= 1";
-  if config.k >= n then
-    invalid_arg "Feature.validate: k must be smaller than the series length"
+  if 2 * config.k >= n then
+    invalid_arg
+      (Printf.sprintf
+         "Feature.validate: k = %d needs 2k < n = %d, so that every indexed \
+          coefficient has a distinct conjugate mirror"
+         config.k n)
 
 let dims config = 2 + (2 * config.k)
 

@@ -17,7 +17,10 @@ type config = {
 
 val default : config
 
-(** [validate config ~n] checks [1 <= k < n]. *)
+(** [validate config ~n] checks [1 <= k] and [2k < n]: every indexed
+    coefficient [f] in [1..k] then has a distinct conjugate mirror
+    [n - f], which the k-index's [√2]-tighter Lemma 1 bounds rely on
+    ({!Kindex}). Raises [Invalid_argument] otherwise. *)
 val validate : config -> n:int -> unit
 
 (** [dims config] is [2 + 2k]. *)

@@ -20,11 +20,11 @@ type result = {
   node_accesses : int;
 }
 
-(* Precompute the transformed normal forms (time domain, exact for every
-   spec including Warp) and, for the length-preserving specs, the
-   transformed spectra used by the frequency-domain scans (the
-   identity's are the stored spectra themselves). Both are pure
-   per-entry maps, so they fan out over the pool too. *)
+(* Precompute the transformed normal forms (time domain, for the warp)
+   and the transformed half spectra used by the frequency-domain
+   distances of every length-preserving spec (the identity's are the
+   stored spectra themselves). Both are pure per-entry maps, so they
+   fan out over the pool too. *)
 let transformed_normals ?pool kindex spec =
   Pool.map_array ?pool
     (fun (entry : Dataset.entry) -> Spec.apply_series spec entry.Dataset.normal)
@@ -73,14 +73,15 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
         !pairs
     | _ ->
       let spectra = transformed_spectra ~pool kindex spec in
+      let n = Dataset.series_length dataset in
       fun pairs i ->
         let pairs = ref pairs in
         for j = i + 1 to count - 1 do
           (* An abandoned sum is > limit, so one test decides both. *)
           let acc =
             if abandon then
-              fst (Flat.sq_distance_abandon ~limit spectra.(i) spectra.(j))
-            else Flat.sq_distance spectra.(i) spectra.(j)
+              fst (Flat.sq_distance_abandon ~n ~limit spectra.(i) spectra.(j))
+            else Flat.sq_distance ~n spectra.(i) spectra.(j)
           in
           if acc <= limit then pairs := (i, j) :: !pairs
         done;
@@ -171,12 +172,22 @@ let index_join ?profile kindex spec epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Join.index_join: epsilon must be finite and >= 0";
   let dataset = Kindex.dataset kindex in
+  let n = Dataset.series_length dataset in
   let k = (Kindex.config kindex).Feature.k in
-  let normals = transformed_normals kindex spec in
-  (* Query features for entry i: the first k coefficients of its
-     transformed spectrum (for Warp these are the predicted prefix of the
-     warped spectrum, which is all the index needs). *)
+  (* Query features for entry i: coefficients 1..k of its transformed
+     spectrum (for Warp these are the predicted prefix of the warped
+     spectrum, which is all the index needs). *)
   let spectra = transformed_spectra kindex spec in
+  (* The exact distance between two transformed entries: the
+     half-spectrum kernel, as in {!scan}, for the length-preserving
+     specs; the time domain for the warp. *)
+  let pair_distance =
+    match spec with
+    | Spec.Warp _ ->
+      let normals = transformed_normals kindex spec in
+      fun a b -> Distance.euclidean normals.(a) normals.(b)
+    | _ -> fun a b -> sqrt (Flat.sq_distance ~n spectra.(a) spectra.(b))
+  in
   let prepared = Kindex.prepare kindex spec in
   (* One flat operator node for the whole nested-query loop: a child
      per inner range query would drown the tree in [cardinality]
@@ -192,7 +203,7 @@ let index_join ?profile kindex spec epsilon =
       let i = entry.Dataset.id in
       let query_coeffs = Flat.sub_cpx spectra.(i) 1 k in
       let distance (candidate : Dataset.entry) =
-        Distance.euclidean normals.(candidate.Dataset.id) normals.(i)
+        pair_distance candidate.Dataset.id i
       in
       let r = Kindex.range_prepared kindex prepared ~query_coeffs ~epsilon ~distance in
       computations := !computations + r.Kindex.candidates;

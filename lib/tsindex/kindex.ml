@@ -94,20 +94,42 @@ let lift lowered =
    untransformed queries skip the per-entry work. *)
 type prepared = {
   pspec : Spec.t;
+  pn : int;  (* the data-set series length *)
+  pfloor : float;  (* absolute slack of the Lemma 1 bounds, see below *)
   ptransform : Linear_transform.t option;
   pstretch : Flat.t option;
-      (* full-length frequency multiplier; None for Identity (not
+      (* half-spectrum frequency multiplier; None for Identity (not
          needed) and Warp (length changes) *)
 }
 
 let prepared_spec p = p.pspec
 let prepared_stretch p = p.pstretch
 
+(* Lemma 1 with conjugate symmetry. Query and data are real series, so
+   each indexed coefficient f in 1..k (2k < n, see {!Feature.validate})
+   has a distinct mirror n - f carrying the same |X_f - Q_f|²; the
+   squared distance is therefore at least twice the squared feature
+   distance, and a feature point within ε of the query lies within
+   ε·√½ of it. The search radius grows, and the NN bound shrinks, by a
+   1e-9 relative slack, which keeps a last-ulp rounding difference
+   between the feature coordinates and the exact kernel from turning
+   into a false dismissal, and by an absolute floor of 1e-9·√N for
+   queries of length N. The floor covers the rounding of the features
+   themselves, which scales with the signal's norm (a normal form has
+   energy n, its warp m·n), not with ε: without it a query at ε near 0
+   whose features come from a different path than the data's — a warp
+   self-query, predicted by the stretch on the data side and a direct
+   FFT on the query side — misses its exact match. *)
+let radius_scale = sqrt 0.5 *. (1. +. 1e-9)
+let bound_scale = sqrt 2. *. (1. -. 1e-9)
+
 let prepare t spec =
+  let n = Dataset.series_length t.dataset in
+  let pfloor = 1e-9 *. sqrt (float_of_int (Spec.output_length spec ~n)) in
   match spec with
-  | Spec.Identity -> { pspec = spec; ptransform = None; pstretch = None }
+  | Spec.Identity ->
+    { pspec = spec; pn = n; pfloor; ptransform = None; pstretch = None }
   | _ ->
-    let n = Dataset.series_length t.dataset in
     let stretch = Spec.stretch spec ~n in
     let ak = Flat.sub_cpx stretch 1 t.config.Feature.k in
     let ct = Complex_transform.stretch ak in
@@ -121,14 +143,14 @@ let prepare t spec =
       | Spec.Warp _ -> None
       | _ -> Some stretch
     in
-    { pspec = spec; ptransform = Some (lift lowered); pstretch }
+    { pspec = spec; pn = n; pfloor; ptransform = Some (lift lowered); pstretch }
 
 let unconstrained = Region.linear ~lo:Float.neg_infinity ~hi:Float.infinity
 
-let full_region t ?mean_range ?std_range ~query_coeffs ~epsilon () =
+let full_region t prepared ?mean_range ?std_range ~query_coeffs ~epsilon () =
   let feature_region =
     Coords.search_region t.config.Feature.representation ~query:query_coeffs
-      ~epsilon
+      ~epsilon:((epsilon *. radius_scale) +. prepared.pfloor)
   in
   let of_range = function
     | None -> unconstrained
@@ -187,7 +209,9 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
   | _ -> ());
   if Array.length query_coeffs <> t.config.Feature.k then
     invalid_arg "Kindex.range_prepared: expected k query coefficients";
-  let region = full_region t ?mean_range ?std_range ~query_coeffs ~epsilon () in
+  let region =
+    full_region t prepared ?mean_range ?std_range ~query_coeffs ~epsilon ()
+  in
   let overlaps, matches = region_tests region prepared.ptransform in
   Otrace.with_span "kindex.range" @@ fun () ->
   let pn = Profile.enter profile "kindex.range" in
@@ -290,25 +314,24 @@ let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
   range_prepared t (prepare t spec) ~query_coeffs ~epsilon ~distance
 
 (* The exact distance used in postprocessing. Length-preserving
-   transformations are evaluated in the frequency domain against the
-   stored spectra (O(n) per candidate, like the paper's scan of the
-   Fourier-coefficient relation); the warp changes the length and falls
-   back to the time domain. Equal to the time-domain distance by
-   Parseval. *)
+   transformations, the identity included, are evaluated by the
+   half-spectrum kernel against the stored spectra (O(n) per candidate,
+   like the paper's scan of the Fourier-coefficient relation) — the
+   kernel {!Seqscan} uses, so both return the same distance bit for
+   bit. The warp changes the length and falls back to the time domain.
+   Equal to the time-domain distance by Parseval. *)
 let prepared_distance prepared (q : Dataset.entry) =
-  match (prepared.pspec, prepared.pstretch) with
-  | Spec.Warp _, _ ->
+  match prepared.pspec with
+  | Spec.Warp _ ->
     fun (entry : Dataset.entry) ->
       Distance.euclidean
         (Spec.apply_series prepared.pspec entry.Dataset.normal)
         q.Dataset.normal
-  | Spec.Identity, _ ->
+  | _ ->
+    let stretch = prepared.pstretch and n = prepared.pn in
     fun (entry : Dataset.entry) ->
-      Distance.euclidean entry.Dataset.normal q.Dataset.normal
-  | _, Some stretch ->
-    fun (entry : Dataset.entry) ->
-      sqrt (Flat.sq_distance ~stretch entry.Dataset.spectrum q.Dataset.spectrum)
-  | _, None -> assert false
+      sqrt
+        (Flat.sq_distance ?stretch ~n entry.Dataset.spectrum q.Dataset.spectrum)
 
 let check_query_length t spec query =
   let n = Dataset.series_length t.dataset in
@@ -396,7 +419,9 @@ let range_probe ?(spec = Spec.Identity) ?(normalise_query = true) ?mean_window
   let mean_range, std_range, _, query_coeffs, prepared =
     range_request ?mean_window ?std_band ~normalise_query t spec query
   in
-  let region = full_region t ?mean_range ?std_range ~query_coeffs ~epsilon () in
+  let region =
+    full_region t prepared ?mean_range ?std_range ~query_coeffs ~epsilon ()
+  in
   fst (region_tests region prepared.ptransform)
 
 (* --- query batches -------------------------------------------------------- *)
@@ -470,7 +495,7 @@ let polar_mindist q ~mag_lo ~mag_hi ~ang_lo ~ang_hi =
   let d2 = (qmag *. qmag) +. (m_star *. m_star) -. (2. *. qmag *. m_star *. c) in
   sqrt (Float.max 0. d2)
 
-let feature_lower_bound t ~query_coeffs (r : Rect.t) =
+let feature_lower_bound t prepared ~query_coeffs (r : Rect.t) =
   let k = t.config.Feature.k in
   let acc = ref 0. in
   for i = 0 to k - 1 do
@@ -491,7 +516,7 @@ let feature_lower_bound t ~query_coeffs (r : Rect.t) =
     in
     acc := !acc +. (d *. d)
   done;
-  sqrt !acc
+  Float.max 0. ((sqrt !acc *. bound_scale) -. prepared.pfloor)
 
 (* The NN sketch argument is also a builder: applied to the prepared
    query it yields a per-entry lower bound (the max over the funnel's
@@ -540,7 +565,7 @@ let nearest ?(spec = Spec.Identity) ?(normalise_query = true) ?sketch ?profile
   let answers =
     Otrace.with_span "kindex.nearest" @@ fun () ->
     Nn.nearest_custom ?visit ?point_bound ~data_rank:Fun.id t.tree
-      ~rect_bound:(fun r -> feature_lower_bound t ~query_coeffs (map_rect r))
+      ~rect_bound:(fun r -> feature_lower_bound t prepared ~query_coeffs (map_rect r))
       ~point_dist ~k
     |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))
   in
@@ -699,6 +724,6 @@ let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
            Otrace.with_span "kindex.nearest" @@ fun () ->
            Nn.nearest_custom ?visit ?point_bound ~data_rank:Fun.id t.tree
              ~rect_bound:(fun r ->
-               feature_lower_bound t ~query_coeffs (map_rect r))
+               feature_lower_bound t prepared ~query_coeffs (map_rect r))
              ~point_dist ~k
            |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))))

@@ -13,13 +13,21 @@
 
     Lemma 1 (no false dismissals) holds because the distance on the
     first [k] coefficients lower-bounds the full distance; the answer
-    returned after postprocessing is therefore exact. *)
+    returned after postprocessing is therefore exact. Every series is
+    real, so its spectrum is conjugate-symmetric and each indexed
+    coefficient [f] (with [2k < n], {!Feature.validate}) has a distinct
+    mirror [n - f] carrying the same difference: the full distance is
+    at least [√2] times the feature distance. The search region
+    therefore has radius [ε·√½] and the NN lower bound is [√2] times
+    the feature distance, each with a [1e-9] relative slack and an
+    absolute floor of [1e-9·√N] for a length-[N] query, which absorb
+    the rounding of the features and of the exact distance. *)
 
 type t
 
 (** [build ?config ?max_fill dataset] bulk-loads the index.
-    Raises [Invalid_argument] when [config.k] is not below the series
-    length. *)
+    Raises [Invalid_argument] unless [1 <= config.k] and
+    [2·config.k] is below the series length ({!Feature.validate}). *)
 val build : ?config:Feature.config -> ?max_fill:int -> Dataset.t -> t
 
 (** [insert t ~name series] adds one series to the data set and the
@@ -69,8 +77,9 @@ val prepare : t -> Spec.t -> prepared
 
 val prepared_spec : prepared -> Spec.t
 
-(** [prepared_stretch p] is the full-length frequency multiplier the
-    exact frequency-domain distance applies to each data spectrum:
+(** [prepared_stretch p] is the half-spectrum frequency multiplier
+    ({!Spec.stretch}) the exact distance kernel applies to each data
+    spectrum:
     [None] for the identity (no multiplier) and the warp (the length
     changes, so its distance is computed in the time domain). *)
 val prepared_stretch : prepared -> Simq_dsp.Flat.t option
@@ -306,9 +315,11 @@ val nearest_checked :
     [k] complex features of the (already transformed) query side,
     [distance] computes the full distance used in postprocessing, and
     [spec] transforms the data side during traversal. The result is
-    exact provided [Spectrum.prefix] of the transformed data spectrum
-    against [query_coeffs] lower-bounds [distance] — the Lemma 1
-    condition. *)
+    exact provided [√2] times the distance between coefficients
+    [1..k] of the transformed data spectrum and [query_coeffs]
+    lower-bounds [distance] — the Lemma 1 condition with conjugate
+    symmetry, which holds whenever both sides are real series and
+    [distance] is their full Euclidean distance. *)
 val range_generic :
   ?spec:Spec.t ->
   t ->
@@ -339,8 +350,9 @@ val range_prepared :
   range_result
 
 (** [prepared_distance prepared q] is the exact full distance
-    [entry -> D(T entry, q)] used by postprocessing: for the stretching
-    transformations, {!Simq_dsp.Flat.sq_distance} of the stretched
-    stored spectrum against the query's; time-domain for the identity
-    and the warp. *)
+    [entry -> D(T entry, q)] used by postprocessing: for every
+    length-preserving transformation, the identity included,
+    {!Simq_dsp.Flat.sq_distance} of the (stretched) stored half
+    spectrum against the query's — the kernel {!Seqscan} uses, so the
+    two return bit-identical distances; time-domain for the warp. *)
 val prepared_distance : prepared -> Dataset.entry -> Dataset.entry -> float

@@ -70,8 +70,8 @@ let compute_freq ~abandon ?stretch ~n ~limit epsilon (q : Dataset.entry)
     (entry : Dataset.entry) =
   let x = entry.Dataset.spectrum and y = q.Dataset.spectrum in
   let acc, touched =
-    if abandon then Flat.sq_distance_abandon ?stretch ~limit x y
-    else (Flat.sq_distance ?stretch x y, n)
+    if abandon then Flat.sq_distance_abandon ?stretch ~n ~limit x y
+    else (Flat.sq_distance ?stretch ~n x y, Flat.half_length n)
   in
   if acc > limit && abandon then (None, 0, touched)
   else begin

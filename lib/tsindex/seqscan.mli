@@ -27,8 +27,9 @@ type result = {
   full_computations : int;
       (** distance computations carried to completion *)
   coefficients_touched : int;
-      (** total spectrum coefficients examined — the work an early
-          abandon saves *)
+      (** total half-spectrum coefficients examined ([n / 2 + 1] per
+          completed comparison, see {!Simq_dsp.Flat}) — the work an
+          early abandon saves; time-domain points for a warp *)
 }
 
 (** [range_full dataset ?pool ?spec ~query ~epsilon] compares the query

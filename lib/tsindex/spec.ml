@@ -20,12 +20,13 @@ let apply_series t s =
 
 let stretch t ~n =
   match t with
-  | Identity -> Dsp.Flat.constant n Dsp.Cpx.one
+  | Identity -> Dsp.Flat.constant (Dsp.Flat.half_length n) Dsp.Cpx.one
   | Moving_average m -> Dsp.Window.transfer n (Dsp.Window.uniform m)
   | Weighted_ma w -> Dsp.Window.transfer n w
-  | Reverse -> Dsp.Flat.constant n (Dsp.Cpx.of_float (-1.))
+  | Reverse ->
+    Dsp.Flat.constant (Dsp.Flat.half_length n) (Dsp.Cpx.of_float (-1.))
   | Warp m ->
-    let a = Warp_op.coefficients ~m ~n ~k:n in
+    let a = Warp_op.coefficients ~m ~n ~k:(Dsp.Flat.half_length n) in
     Dsp.Flat.scale (1. /. sqrt (float_of_int m)) (Dsp.Flat.of_cpx a)
 
 let output_length t ~n =

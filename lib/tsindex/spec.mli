@@ -20,13 +20,15 @@ type t =
     executable specification the index path is tested against. *)
 val apply_series : t -> Simq_series.Series.t -> Simq_series.Series.t
 
-(** [stretch t ~n] is the length-[n] frequency multiplier, flat (see
-    {!Simq_dsp.Flat}): applying [t] to a series of length [n]
-    multiplies its [f]-th unitary DFT coefficient by coefficient [f]
-    of the stretch. For [Warp m] the result maps the
-    coefficients of the original onto the first [n] coefficients of the
-    length-[m·n] output. Raises [Invalid_argument] when a window is wider
-    than [n] or a warp factor is < 1. *)
+(** [stretch t ~n] is the frequency multiplier for series of length
+    [n], in the half layout of {!Simq_dsp.Flat.half}: its
+    [n / 2 + 1] coefficients multiply coefficients [0 .. n/2] of a
+    series' unitary DFT. Every [t] is real in the time domain, so the
+    multiplier of the mirrored coefficients is the conjugate. For
+    [Warp m] the result maps coefficients [0 .. n/2] of the original
+    onto the same coefficients of the length-[m·n] output. Raises
+    [Invalid_argument] when a window is wider than [n] or a warp factor
+    is < 1. *)
 val stretch : t -> n:int -> Simq_dsp.Flat.t
 
 (** [output_length t ~n] is the length of [apply_series t s] for an

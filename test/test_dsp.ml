@@ -216,18 +216,17 @@ let test_window_transfer_dc_gain () =
     ]
 
 let test_window_transfer_is_moving_average () =
-  (* Multiplying the spectrum by the transfer function must equal the
-     time-domain circular convolution with the kernel. *)
+  (* Multiplying the half spectrum by the transfer function must give
+     the half spectrum of the time-domain circular convolution with the
+     kernel. *)
   let x = random_signal 21 16 in
   let w = Window.uniform 3 in
   let time_domain = Convolution.circular_real x (Window.kernel 16 w) in
-  let freq =
-    Fft.ifft
-      (Cpx.mul_arrays (Flat.to_cpx (Window.transfer 16 w)) (Fft.fft_real x))
-  in
-  Array.iteri
-    (fun idx v -> check_float_loose "transfer = conv" time_domain.(idx) v)
-    (Cpx.re_array freq)
+  let transfer = Window.transfer 16 w in
+  Alcotest.(check int) "half layout" 9 (Flat.length transfer);
+  check_cpx_arrays ~eps:1e-6 "transfer = conv"
+    (Flat.to_cpx (Flat.half (Fft.fft_real_flat time_domain)))
+    (Flat.to_cpx (Flat.mul transfer (Flat.half (Fft.fft_real_flat x))))
 
 (* --- Spectrum --------------------------------------------------------- *)
 
@@ -335,24 +334,28 @@ let prop_early_abandon_agrees =
 
 (* --- Flat kernels: bit-for-bit oracles ---------------------------------- *)
 
-(* The boxed computations the flat kernels replaced: Cpx.mul by the
-   stretch, Cpx.sub of the query, re² + im² added in frequency order. *)
+(* The boxed computations the flat kernels replaced — Cpx.mul by the
+   stretch, Cpx.sub of the query, re² + im² — over a half spectrum of a
+   real length-n series, each term weighted by its multiplicity in the
+   full spectrum and added in frequency order. *)
 let sq_norm z = (Cpx.re z *. Cpx.re z) +. (Cpx.im z *. Cpx.im z)
 
-let boxed_term ?stretch x q f =
-  let xf = match stretch with None -> x.(f) | Some s -> Cpx.mul s.(f) x.(f) in
-  sq_norm (Cpx.sub xf q.(f))
+let mirror_weight ~n f = if f = 0 || 2 * f = n then 1. else 2.
 
-let boxed_sum ?stretch x q freqs =
-  Array.fold_left (fun acc f -> acc +. boxed_term ?stretch x q f) 0. freqs
+let boxed_term ?stretch ~n x q f =
+  let xf = match stretch with None -> x.(f) | Some s -> Cpx.mul s.(f) x.(f) in
+  mirror_weight ~n f *. sq_norm (Cpx.sub xf q.(f))
+
+let boxed_sum ?stretch ~n x q freqs =
+  Array.fold_left (fun acc f -> acc +. boxed_term ?stretch ~n x q f) 0. freqs
 
 (* The early-abandon loop of the boxed sequential scan: the sum reached
    and the coefficients read. *)
-let boxed_abandon ?stretch ~limit x q =
-  let n = Array.length x in
+let boxed_abandon ?stretch ~n ~limit x q =
+  let h = Array.length x in
   let acc = ref 0. and f = ref 0 and abandoned = ref false in
-  while (not !abandoned) && !f < n do
-    acc := !acc +. boxed_term ?stretch x q !f;
+  while (not !abandoned) && !f < h do
+    acc := !acc +. boxed_term ?stretch ~n x q !f;
     incr f;
     if !acc > limit then abandoned := true
   done;
@@ -361,71 +364,129 @@ let boxed_abandon ?stretch ~limit x q =
 let bits = Int64.bits_of_float
 let same_bits a b = Int64.equal (bits a) (bits b)
 
-(* Random spectra and stretches of one length, with a subset of
-   frequencies and a threshold scaled to the spectra. *)
+(* Random half spectra and stretches for a series length n (n / 2 + 1
+   coefficients each), with a subset of frequencies and a threshold
+   scaled to the spectra. *)
 let kernel_case_gen =
   QCheck.Gen.(
     let* n = int_range 1 96 in
+    let h = Flat.half_length n in
     let coeffs =
-      array_size (return n)
+      array_size (return h)
         (map2 Cpx.make (float_range (-50.) 50.) (float_range (-50.) 50.))
     in
     let* x = coeffs and* q = coeffs and* s = coeffs in
-    let* freqs = array_size (int_range 0 8) (int_range 0 (n - 1)) in
-    let* fraction = float_range 0. 1.5 in
-    return (x, q, s, freqs, fraction))
+    let* freqs = array_size (int_range 0 8) (int_range 0 (h - 1)) in
+    let* fraction = oneof [ return 0.; return 1.; float_range 0. 1.5 ] in
+    return (n, x, q, s, freqs, fraction))
 
 let arb_kernel_case =
   QCheck.make
-    ~print:(fun (x, _, _, freqs, fraction) ->
-      Printf.sprintf "n=%d freqs=%d fraction=%g" (Array.length x)
-        (Array.length freqs) fraction)
+    ~print:(fun (n, _, _, _, freqs, fraction) ->
+      Printf.sprintf "n=%d freqs=%d fraction=%g" n (Array.length freqs)
+        fraction)
     kernel_case_gen
+
+let every x = Array.init (Array.length x) Fun.id
 
 let prop_flat_full_distance =
   QCheck.Test.make ~name:"Flat.sq_distance = boxed distance, bit for bit"
-    ~count:200 arb_kernel_case (fun (x, q, s, _, _) ->
+    ~count:200 arb_kernel_case (fun (n, x, q, s, _, _) ->
       let fx = Flat.of_cpx x and fq = Flat.of_cpx q and fs = Flat.of_cpx s in
-      same_bits
-        (sqrt (Flat.sq_distance fx fq))
-        (Spectrum.distance x q)
+      same_bits (Flat.sq_distance ~n fx fq) (boxed_sum ~n x q (every x))
       && same_bits
-           (sqrt (Flat.sq_distance ~stretch:fs fx fq))
-           (Spectrum.distance (Cpx.mul_arrays s x) q))
+           (Flat.sq_distance ~stretch:fs ~n fx fq)
+           (boxed_sum ~stretch:s ~n x q (every x)))
 
 let prop_flat_subset =
   QCheck.Test.make ~name:"Flat.sq_distance_at = boxed subset sum, bit for bit"
-    ~count:200 arb_kernel_case (fun (x, q, s, freqs, _) ->
+    ~count:200 arb_kernel_case (fun (n, x, q, s, freqs, _) ->
       let fx = Flat.of_cpx x and fq = Flat.of_cpx q and fs = Flat.of_cpx s in
-      let prefix =
-        Array.init (min (Array.length freqs) (Array.length x)) Fun.id
-      in
-      same_bits (Flat.sq_distance_at ~freqs fx fq) (boxed_sum x q freqs)
+      same_bits (Flat.sq_distance_at ~n ~freqs fx fq) (boxed_sum ~n x q freqs)
       && same_bits
-           (Flat.sq_distance_at ~stretch:fs ~freqs fx fq)
-           (boxed_sum ~stretch:s x q freqs)
+           (Flat.sq_distance_at ~stretch:fs ~n ~freqs fx fq)
+           (boxed_sum ~stretch:s ~n x q freqs)
       && same_bits
-           (sqrt (Flat.sq_distance_at ~freqs:prefix fx fq))
-           (Spectrum.prefix_distance (Array.length prefix) x q))
+           (Flat.sq_distance_at ~n ~freqs:(every x) fx fq)
+           (Flat.sq_distance ~n fx fq))
 
 let prop_flat_abandon =
   QCheck.Test.make
     ~name:"Flat.sq_distance_abandon: same verdict, sum and coefficients read"
-    ~count:300 arb_kernel_case (fun (x, q, s, _, fraction) ->
+    ~count:300 arb_kernel_case (fun (n, x, q, s, _, fraction) ->
       let fx = Flat.of_cpx x and fq = Flat.of_cpx q and fs = Flat.of_cpx s in
       let check ?stretch ?fstretch () =
-        let every = Array.init (Array.length x) Fun.id in
-        let limit = fraction *. boxed_sum ?stretch x q every in
+        let limit = fraction *. boxed_sum ?stretch ~n x q (every x) in
         let acc, touched =
-          Flat.sq_distance_abandon ?stretch:fstretch ~limit fx fq
+          Flat.sq_distance_abandon ?stretch:fstretch ~n ~limit fx fq
         in
-        let acc', touched' = boxed_abandon ?stretch ~limit x q in
-        let threshold = sqrt limit in
-        let verdict = Spectrum.distance_early_abandon ~threshold x q in
+        let acc', touched' = boxed_abandon ?stretch ~n ~limit x q in
         same_bits acc acc' && touched = touched'
-        && (stretch <> None || Option.is_none verdict = (acc > limit))
       in
       check () && check ~stretch:s ~fstretch:fs ())
+
+(* The abandon contract on its own: abandoned exactly when the sum
+   returned exceeds the limit (having read a proper prefix, or the last
+   coefficient), and otherwise every coefficient was read and the sum
+   is the full kernel's, bit for bit. *)
+let prop_flat_abandon_contract =
+  QCheck.Test.make ~name:"Flat.sq_distance_abandon: abandon contract"
+    ~count:300 arb_kernel_case (fun (n, x, q, s, _, fraction) ->
+      let fx = Flat.of_cpx x and fq = Flat.of_cpx q and fs = Flat.of_cpx s in
+      let h = Array.length x in
+      let check ?stretch () =
+        let full = Flat.sq_distance ?stretch ~n fx fq in
+        let limit = fraction *. full in
+        let acc, read = Flat.sq_distance_abandon ?stretch ~n ~limit fx fq in
+        if acc > limit then
+          read >= 1 && read <= h
+          && (read = h || not (acc > full))
+          && same_bits acc
+               (Flat.sq_distance_at ?stretch ~n
+                  ~freqs:(Array.init read Fun.id) fx fq)
+        else read = h && same_bits acc full
+      in
+      check () && check ~stretch:fs ())
+
+(* Random real series for the Parseval checks below: a length from
+   [lengths], two signals and a smoothing window no wider than it. *)
+let real_pair_gen lengths =
+  QCheck.Gen.(
+    let* n = oneofl lengths in
+    let signal = array_size (return n) (float_range (-10.) 10.) in
+    let* x = signal and* q = signal in
+    let* width = int_range 1 n in
+    let* weights = array_size (return width) (float_range 0.1 1.) in
+    return (n, x, q, Window.custom weights))
+
+let arb_real_pair lengths =
+  QCheck.make
+    ~print:(fun (n, _, _, w) -> Printf.sprintf "n=%d window=%d" n (Window.width w))
+    (real_pair_gen lengths)
+
+let half_spectrum s = Flat.half (Fft.fft_real_flat s)
+
+(* Over the half layout, the weighted kernel is the full-spectrum sum,
+   hence (Parseval) the time-domain squared distance — to 1e-12 of the
+   two signals' energy, plain and under a moving-average stretch. *)
+let prop_half_kernel_parseval =
+  QCheck.Test.make
+    ~name:"half kernel = time-domain distance², n in {1,2,3,4,5,7,100,128}"
+    ~count:200
+    (arb_real_pair [ 1; 2; 3; 4; 5; 7; 100; 128 ])
+    (fun (n, x, q, w) ->
+      let module D = Simq_series.Distance in
+      let close kernel a b =
+        let exact = D.euclidean a b ** 2. in
+        let scale = Spectrum.energy_real a +. Spectrum.energy_real b in
+        Float.abs (kernel -. exact) <= 1e-12 *. scale
+      in
+      let hx = half_spectrum x and hq = half_spectrum q in
+      let smoothed = Simq_series.Moving_average.circular w x in
+      close (Flat.sq_distance ~n hx hq) x q
+      && close
+           (Flat.sq_distance ~stretch:(Window.transfer n w) ~n hx hq)
+           smoothed q)
 
 (* The flat FFT against the direct DFT, to 1e-12 of the signal's scale
    (its L2 norm, which the unitary transform preserves). *)
@@ -451,7 +512,11 @@ let test_flat_fft_matches_dft () =
             Alcotest.failf "n=%d f=%d: |fft - dft| = %g > %g" n f err
               (1e-12 *. scale))
         direct;
-      let energy = Flat.sq_distance flat (Array.make (2 * n) 0.) in
+      let half = Flat.half flat in
+      Alcotest.(check int)
+        (Printf.sprintf "half length n=%d" n)
+        ((n / 2) + 1) (Flat.length half);
+      let energy = Flat.sq_distance ~n half (Array.make (Array.length half) 0.) in
       if Float.abs (energy -. (scale *. scale)) > 1e-12 *. scale *. scale then
         Alcotest.failf "n=%d: Parseval, %.17g vs %.17g" n energy
           (scale *. scale))
@@ -468,6 +533,8 @@ let properties =
       prop_flat_full_distance;
       prop_flat_subset;
       prop_flat_abandon;
+      prop_flat_abandon_contract;
+      prop_half_kernel_parseval;
     ]
 
 let () =

@@ -109,6 +109,83 @@ let prop_levels_lower_bound =
         all_specs;
       true)
 
+(* The coarse level at the shortest lengths, where the half layout has
+   the fewest coefficients: n = 2 has no mirrored coefficient at all
+   (DC and Nyquist only), n = 3 and 4 one. On random real series the
+   bound, as the sketch computes it from the half spectra, never
+   exceeds the time-domain distance nor the full kernel sum under the
+   identity, the reverse and a random moving average; at n = 3 and 4
+   the funnel built through a k = 1 index obeys it too. *)
+let arb_short =
+  QCheck.make
+    ~print:(fun (n, coarse, _, _, w) ->
+      Printf.sprintf "n=%d coarse=%d window=%d" n coarse
+        (Simq_dsp.Window.width w))
+    QCheck.Gen.(
+      let* n = int_range 2 4 in
+      let* coarse = int_range 1 3 in
+      let signal = array_size (return n) (float_range (-10.) 10.) in
+      let* x = signal and* q = signal in
+      let* width = int_range 1 n in
+      let* weights = array_size (return width) (float_range 0.1 1.) in
+      return (n, coarse, x, q, Simq_dsp.Window.custom weights))
+
+let prop_coarse_sound_short =
+  QCheck.Test.make ~name:"coarse bound sound at n in {2,3,4}" ~count:300
+    arb_short (fun (n, coarse, x, q, w) ->
+      let module Flat = Simq_dsp.Flat in
+      let freqs = Sketch.coarse_freqs ~n ~coarse in
+      let expected = if n <= 2 then [||] else [| 1 |] in
+      if freqs <> expected then
+        QCheck.Test.fail_reportf "coarse_freqs ~n:%d = %d entries" n
+          (Array.length freqs);
+      let half s = Flat.half (Simq_dsp.Fft.fft_real_flat s) in
+      let hx = half x and hq = half q in
+      List.for_all
+        (fun spec ->
+          let stretch = Spec.stretch spec ~n in
+          let partial = Flat.sq_distance_at ~stretch ~n ~freqs hx hq in
+          let full = Flat.sq_distance ~stretch ~n hx hq in
+          let exact =
+            Simq_series.Distance.euclidean (Spec.apply_series spec x) q
+          in
+          partial <= full && sqrt partial *. (1. -. 1e-9) <= exact)
+        [ Spec.Identity; Spec.Reverse; Spec.Weighted_ma w ])
+
+let test_coarse_funnel_short () =
+  List.iter
+    (fun n ->
+      let d = dataset_of ~seed:(40 + n) ~count:30 ~n in
+      let index =
+        Kindex.build ~config:{ Feature.k = 1; representation = Coords.Polar } d
+      in
+      let sketch = Sketch.create d in
+      List.iter
+        (fun spec ->
+          let q = Dataset.prepare_query (query_for d spec (7 * n)) in
+          let prepared = Kindex.prepare index spec in
+          let dist = Kindex.prepared_distance prepared q in
+          match Sketch.funnel sketch prepared q with
+          | None -> Alcotest.failf "no funnel under %s" (Spec.name spec)
+          | Some pf ->
+            Array.iteri
+              (fun level name ->
+                Array.iter
+                  (fun entry ->
+                    let b = pf.Kindex.bound level entry in
+                    if b > dist entry then
+                      Alcotest.failf "n=%d %s level %s: bound %.17g > %.17g" n
+                        (Spec.name spec) name b (dist entry))
+                  (Dataset.entries d))
+              pf.Kindex.levels)
+        [
+          Spec.Identity;
+          Spec.Reverse;
+          Spec.Moving_average 2;
+          Spec.Weighted_ma (Simq_dsp.Window.ascending n);
+        ])
+    [ 3; 4 ]
+
 (* --- sketched ≡ unsketched under Spec x representation (QCheck) ------------- *)
 
 let arb_setup =
@@ -503,7 +580,12 @@ let () =
   Alcotest.run "simq_sketch"
     [
       ( "lower bounds",
-        [ QCheck_alcotest.to_alcotest prop_levels_lower_bound ] );
+        [
+          QCheck_alcotest.to_alcotest prop_levels_lower_bound;
+          QCheck_alcotest.to_alcotest prop_coarse_sound_short;
+          Alcotest.test_case "funnel bounds at n = 3, 4" `Quick
+            test_coarse_funnel_short;
+        ] );
       ( "exact parity",
         [
           QCheck_alcotest.to_alcotest prop_sketched_eq_unsketched;

@@ -47,21 +47,23 @@ let all_specs =
 (* --- Spec ------------------------------------------------------------------ *)
 
 let test_spec_stretch_predicts_spectrum () =
-  (* For every spec, multiplying the spectrum by the stretch vector must
-     equal the DFT of the time-domain transformation (prefix n). *)
+  (* For every spec, multiplying the half spectrum by the stretch vector
+     must equal the DFT of the time-domain transformation (coefficients
+     0 .. n/2). *)
   let s = Simq_series.Normal_form.normalise
       (Generator.random_walk (Random.State.make [| 2 |]) 32) in
-  let spectrum = Simq_dsp.Fft.fft_real s in
+  let spectrum = Simq_dsp.Flat.half (Simq_dsp.Fft.fft_real_flat s) in
   List.iter
     (fun spec ->
       let n = 32 in
       let stretch = Spec.stretch spec ~n in
+      Alcotest.(check int) (Spec.name spec ^ " stretch is a half spectrum")
+        17 (Simq_dsp.Flat.length stretch);
       let predicted =
-        Simq_dsp.Flat.to_cpx
-          (Simq_dsp.Flat.mul stretch (Simq_dsp.Flat.of_cpx spectrum))
+        Simq_dsp.Flat.to_cpx (Simq_dsp.Flat.mul stretch spectrum)
       in
       let actual = Simq_dsp.Fft.fft_real (Spec.apply_series spec s) in
-      let actual_prefix = Array.sub actual 0 n in
+      let actual_prefix = Array.sub actual 0 17 in
       Alcotest.(check bool)
         (Spec.name spec ^ " stretch = DFT of time-domain op")
         true
@@ -174,6 +176,82 @@ let test_range_with_k3_config () =
       let actual = Kindex.range ~spec idx ~query ~epsilon:5. in
       check_same_answers (Spec.name spec ^ " k=3") expected actual.Kindex.answers)
     [ Spec.Identity; Spec.Moving_average 8; Spec.Reverse ]
+
+let test_feature_validate_mirror () =
+  (* Every indexed coefficient needs a distinct conjugate mirror: 2k < n. *)
+  Feature.validate { Feature.default with k = 3 } ~n:7;
+  Feature.validate { Feature.default with k = 1 } ~n:3;
+  List.iter
+    (fun (k, n) ->
+      Alcotest.check_raises
+        (Printf.sprintf "k=%d n=%d" k n)
+        (Invalid_argument
+           (Printf.sprintf
+              "Feature.validate: k = %d needs 2k < n = %d, so that every \
+               indexed coefficient has a distinct conjugate mirror"
+              k n))
+        (fun () -> Feature.validate { Feature.default with k } ~n))
+    [ (2, 4); (3, 6); (3, 5); (1, 2); (1, 1) ];
+  let d = dataset_of ~seed:5 ~count:10 ~n:8 in
+  Alcotest.(check bool) "build rejects k = n/2" true
+    (match Kindex.build ~config:{ Feature.default with k = 4 } d with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* The index postfilter and the sequential scan share one distance
+   kernel, so for every length-preserving spec (identity included)
+   their answers agree bit for bit: same ids, same distance bits. *)
+let same_bits_answers label expected actual =
+  let bits answers =
+    List.map
+      (fun ((e : Dataset.entry), d) -> (e.Dataset.id, Int64.bits_of_float d))
+      answers
+  in
+  Alcotest.(check (list (pair int int64))) label (bits expected) (bits actual)
+
+let test_range_scan_bit_identical () =
+  let d = dataset_of ~seed:29 ~count:150 ~n:64 in
+  let sketch = Simq_sketch.funnel (Simq_sketch.create d) in
+  List.iter
+    (fun representation ->
+      let idx =
+        Kindex.build ~config:{ Feature.k = 2; representation } ~max_fill:8 d
+      in
+      List.iter
+        (fun spec ->
+          let rect_unsafe =
+            match spec with
+            | Spec.Moving_average _ | Spec.Weighted_ma _ -> true
+            | _ -> false
+          in
+          if not (representation = Coords.Rectangular && rect_unsafe) then begin
+            let answered = ref 0 in
+            List.iter
+              (fun (qseed, epsilon) ->
+                let query = query_for d spec qseed in
+                let label what =
+                  Printf.sprintf "%s eps=%g %s" (Spec.name spec) epsilon what
+                in
+                let full = Seqscan.range_full ~spec d ~query ~epsilon in
+                let early = Seqscan.range_early_abandon ~spec d ~query ~epsilon in
+                let plain = Kindex.range ~spec idx ~query ~epsilon in
+                let sketched = Kindex.range ~spec ~sketch idx ~query ~epsilon in
+                answered := !answered + List.length full.Seqscan.answers;
+                same_bits_answers (label "index = full scan")
+                  full.Seqscan.answers plain.Kindex.answers;
+                same_bits_answers (label "index = early-abandon scan")
+                  early.Seqscan.answers plain.Kindex.answers;
+                same_bits_answers (label "sketched index = full scan")
+                  full.Seqscan.answers sketched.Kindex.answers)
+              [ (1, 4.); (2, 8.); (3, 12.); (4, 16.) ];
+            Alcotest.(check bool)
+              (Spec.name spec ^ ": some answers compared")
+              true (!answered > 0)
+          end)
+        (List.filter
+           (fun spec -> match spec with Spec.Warp _ -> false | _ -> true)
+           all_specs))
+    [ Coords.Polar; Coords.Rectangular ]
 
 (* --- Kindex nearest ----------------------------------------------------------- *)
 
@@ -672,11 +750,172 @@ let prop_subseq_exact =
       expected
       = List.map (fun h -> (h.Subseq.series_id, h.Subseq.offset)) hits)
 
+(* Lemma 1 at its boundary. The search radius is ε·√½ and the NN bound
+   √2 times the feature distance, each with only a 1e-9 slack, so the
+   cases that matter are the tight ones: a query that differs from
+   T(x_j) by a single sinusoid at an indexed frequency f <= k puts all
+   of the distance in coefficient f and its mirror, and the feature
+   distance is exactly D/√2, on the edge of the search region. Every
+   spec (warp included), both
+   coordinate representations, and the sketched and sharded executors
+   must then
+   - return x_j at ε = D, its exact distance;
+   - return x_j for the self-query T(x_j) at ε = 0 when that distance
+     is exactly 0 (identity, reverse, warp; a moving average's
+     frequency-domain distance to its own time-domain image is a few
+     ulps, and there the answer must still equal the scan's);
+   - answer NEAREST k with the reference's k smallest distances.
+   RANGE answers are compared with the full scan bit for bit. *)
+type executor = Plain | Sketched | Sharded | Sharded_sketched
+
+let executor_name = function
+  | Plain -> "plain"
+  | Sketched -> "sketch"
+  | Sharded -> "shards"
+  | Sharded_sketched -> "shards+sketch"
+
+let arb_boundary =
+  QCheck.make
+    ~print:(fun (seed, polar, spec_i, exec, j, f, delta, k, knn) ->
+      Printf.sprintf
+        "seed=%d polar=%b spec=%d exec=%s target=%d f=%d delta=%g k=%d nn=%d"
+        seed polar spec_i (executor_name exec) j f delta k knn)
+    QCheck.Gen.(
+      let* seed = int_range 0 1000 in
+      let* polar = bool in
+      let* spec_i = int_range 0 (List.length all_specs - 1) in
+      let* exec = oneofl [ Plain; Sketched; Sharded; Sharded_sketched ] in
+      let* j = int_range 0 59 in
+      let* k = int_range 1 3 in
+      let* f = int_range 1 k in
+      let* delta = float_range 0.05 4. in
+      let* knn = int_range 1 6 in
+      return (seed, polar, spec_i, exec, j, f, delta, k, knn))
+
+let prop_lemma1_boundary =
+  QCheck.Test.make ~name:"Lemma 1 boundary: sqrt 2 radius and NN bound"
+    ~count:60 arb_boundary
+    (fun (seed, polar, spec_i, exec, j, f, delta, k, knn) ->
+      let spec = List.nth all_specs spec_i in
+      let representation, spec =
+        match (polar, spec) with
+        | false, (Spec.Moving_average _ | Spec.Weighted_ma _ | Spec.Warp _) ->
+          (* Complex stretches are only safe in S_pol (Theorem 3). *)
+          (Coords.Polar, spec)
+        | true, _ -> (Coords.Polar, spec)
+        | false, _ -> (Coords.Rectangular, spec)
+      in
+      let d = dataset_of ~seed ~count:60 ~n:32 in
+      let config = { Feature.k; representation } in
+      let idx = Kindex.build ~config ~max_fill:6 d in
+      let sketch_config =
+        match exec with
+        | Sketched | Sharded_sketched -> Some Simq_sketch.default
+        | Plain | Sharded -> None
+      in
+      let shards =
+        Simq_shard.create ~config ~max_fill:6 ?sketch:sketch_config ~shards:3 d
+      in
+      let sk = Simq_sketch.create d in
+      let range ~normalise_query ~query ~epsilon =
+        match exec with
+        | Plain -> (Kindex.range ~spec ~normalise_query idx ~query ~epsilon).Kindex.answers
+        | Sketched ->
+          (Kindex.range ~spec ~normalise_query ~sketch:(Simq_sketch.funnel sk)
+             idx ~query ~epsilon).Kindex.answers
+        | Sharded | Sharded_sketched ->
+          (Simq_shard.range ~spec ~normalise_query shards ~query ~epsilon)
+            .Simq_shard.answers
+      in
+      let nearest ~normalise_query ~query ~k =
+        match exec with
+        | Plain -> Kindex.nearest ~spec ~normalise_query idx ~query ~k
+        | Sketched ->
+          Kindex.nearest ~spec ~normalise_query
+            ~sketch:(Simq_sketch.nn_bound sk) idx ~query ~k
+        | Sharded | Sharded_sketched ->
+          (Simq_shard.nearest ~spec ~normalise_query shards ~query ~k)
+            .Simq_shard.neighbours
+      in
+      let target = Dataset.get d j in
+      let image = Spec.apply_series spec target.Dataset.normal in
+      let len = Array.length image in
+      (* The sinusoid's coefficient has the phase of [phase], so pick
+         it to push the target along a coordinate axis of the search
+         region — the magnitude in S_pol, the real or imaginary part in
+         S_rect — where the region's edge is exactly the √½ radius. *)
+      let phase =
+        match representation with
+        | Coords.Polar -> Simq_dsp.Cpx.angle (Simq_dsp.Fft.fft_real image).(f)
+        | Coords.Rectangular -> if seed mod 2 = 0 then 0. else Float.pi /. 2.
+      in
+      let query =
+        Array.mapi
+          (fun t v ->
+            v
+            -. delta
+               *. cos
+                    ((2. *. Float.pi *. float_of_int (f * t) /. float_of_int len)
+                    +. phase))
+          image
+      in
+      let exact ~normalise_query ~query =
+        (Seqscan.range_full ~spec ~normalise_query d ~query ~epsilon:1e9)
+          .Seqscan.answers
+        |> List.assoc_opt target |> Option.get
+      in
+      let contains answers =
+        List.exists (fun ((e : Dataset.entry), _) -> e.Dataset.id = j) answers
+      in
+      let scan_equal ~normalise_query ~query ~epsilon label answers =
+        same_bits_answers label
+          (Seqscan.range_full ~spec ~normalise_query d ~query ~epsilon)
+            .Seqscan.answers
+          answers
+      in
+      (* 1. RANGE at the target's exact distance. *)
+      let epsilon = exact ~normalise_query:false ~query in
+      let answers = range ~normalise_query:false ~query ~epsilon in
+      if not (contains answers) then
+        QCheck.Test.fail_reportf "boundary target %d missing at eps=%.17g" j
+          epsilon;
+      scan_equal ~normalise_query:false ~query ~epsilon "boundary = scan"
+        answers;
+      (* 2. The self-query at ε = 0. *)
+      let self, normalise_query =
+        match spec with
+        | Spec.Identity -> (target.Dataset.series, true)
+        | _ -> (image, false)
+      in
+      let self_answers = range ~normalise_query ~query:self ~epsilon:0. in
+      scan_equal ~normalise_query ~query:self ~epsilon:0. "self = scan"
+        self_answers;
+      (match spec with
+      | Spec.Identity | Spec.Reverse | Spec.Warp _ ->
+        if exact ~normalise_query ~query:self <> 0. then
+          QCheck.Test.fail_report "self distance not exactly 0";
+        if not (contains self_answers) then
+          QCheck.Test.fail_reportf "self-query misses target %d at eps=0" j
+      | Spec.Moving_average _ | Spec.Weighted_ma _ -> ());
+      (* 3. NEAREST against the time-domain reference. *)
+      let want =
+        Seqscan.reference ~spec ~normalise_query:false d ~query
+          ~epsilon:Float.infinity
+        |> List.map snd |> List.sort Float.compare
+        |> List.filteri (fun i _ -> i < knn)
+      in
+      let got =
+        List.map snd (nearest ~normalise_query:false ~query ~k:knn)
+      in
+      List.length want = List.length got
+      && List.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-9) want got)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_no_false_dismissals_identity;
       prop_no_false_dismissals_mavg;
+      prop_lemma1_boundary;
       prop_subseq_exact;
     ]
 
@@ -704,6 +943,10 @@ let () =
           Alcotest.test_case "prunes candidates" `Quick test_range_prunes;
           Alcotest.test_case "index invariants" `Quick test_rtree_of_index_is_valid;
           Alcotest.test_case "k=3 configuration" `Quick test_range_with_k3_config;
+          Alcotest.test_case "feature validation needs 2k < n" `Quick
+            test_feature_validate_mirror;
+          Alcotest.test_case "index = scan bit for bit, every length-preserving spec"
+            `Quick test_range_scan_bit_identical;
         ] );
       ( "nearest",
         [
